@@ -3,7 +3,7 @@
 //
 // Two kinds of pins live here:
 //
-//  1. Cross-build stream-neutrality: pinned FNV-1a fingerprints of two
+//  1. Cross-build stream-neutrality: pinned FNV-1a fingerprints of four
 //     representative runs, compiled into EVERY build flavor. The plain build
 //     and the EPIAGG_RNG_AUDIT build both run them, so a ledger that ever
 //     perturbed the stream (an extra draw, a reordered draw) breaks the pin
@@ -11,7 +11,7 @@
 //     pass trivially within either build.
 //
 //  2. Per-phase draw-count goldens (audit builds only): the exact ledger —
-//     scope names in first-entry order, draw and enter counts — for four
+//     scope names in first-entry order, draw and enter counts — for six
 //     representative paths. Any change to WHERE a path spends its entropy
 //     shows up here as a diff, reviewable like any other golden.
 #include "sim/simulation.hpp"
@@ -48,7 +48,7 @@ std::uint64_t fingerprint(const std::vector<double>& xs) {
 }
 
 // ===================================================================
-// The four golden paths
+// The golden paths
 // ===================================================================
 
 /// Path 1 — cycle engine, static population, fixed topology.
@@ -122,6 +122,31 @@ Simulation time_varying_monitoring(EngineKind engine) {
   return sim;
 }
 
+/// Path 6 — cycle engine, churn over the complete overlay: partners are
+/// sampled uniformly from the live participants, crashed slot ids are
+/// recycled through the store, and two aggregates (one of them two planes
+/// wide) chase a drifting workload. Shuffled activation and message loss put
+/// the permutation and the loss coin on the stream too.
+Simulation cycle_churn_uniform(std::shared_ptr<VarianceTrace> trace = nullptr) {
+  SimulationBuilder builder;
+  builder.nodes(160)
+      .aggregates({AggregatorSpec::average("avg"),
+                   AggregatorSpec::variance("var")})
+      .workload(WorkloadSpec::time_varying(WorkloadDynamics::kDrift,
+                                           ValueDistribution::kUniform,
+                                           /*rate=*/0.01, /*period=*/0.0,
+                                           /*jitter=*/0.002))
+      .failures(FailureSpec::with_churn(
+          std::make_shared<ConstantFluctuation>(2), /*loss=*/0.05))
+      .activation(ActivationOrder::kShuffled)
+      .epoch_length(8)
+      .seed(2004);
+  if (trace != nullptr) builder.observe(trace);
+  Simulation sim = builder.build();
+  sim.run_cycles(24);
+  return sim;
+}
+
 /// Path 4 — event engine, live membership co-run with churn and epochs.
 Simulation event_live_membership() {
   Simulation sim =
@@ -184,6 +209,22 @@ TEST(DrawLedgerNeutrality, TimeVaryingFingerprintIsBuildInvariant) {
       << "time-varying stream drifted: the per-cycle workload evolution or "
          "the aggregate dynamics consumed different entropy in this build "
          "flavor (see the cycle-engine pin above for what that means).";
+}
+
+TEST(DrawLedgerNeutrality, UniformChurnFingerprintIsBuildInvariant) {
+  auto observed = std::make_shared<VarianceTrace>();
+  Simulation sim = cycle_churn_uniform(observed);
+  std::vector<double> trace = observed->trace();
+  for (const EpochSummary& summary : sim.epochs()) {
+    trace.push_back(summary.est_mean);
+    trace.push_back(summary.variance);
+    trace.push_back(summary.truth);
+    trace.push_back(static_cast<double>(summary.population_start));
+    trace.push_back(static_cast<double>(summary.population_end));
+  }
+  EXPECT_EQ(fingerprint(trace), 0x3b41f030c464add0ULL)
+      << "uniform-churn stream drifted (see the cycle-engine pin above for "
+         "what that means per build flavor).";
 }
 
 // ===================================================================
@@ -256,6 +297,19 @@ TEST(DrawLedger, CycleChurnAdversaryGolden) {
                                              {"adversary", 1092, 20},
                                              {"partner-draw", 3677, 20},
                                          });
+}
+
+TEST(DrawLedger, CycleChurnUniformGolden) {
+  // ConstantFluctuation(2): 2 crash victims per cycle in "churn" (joiners
+  // take recycled store slots, no contact draw), one workload value per
+  // joiner per aggregate plus one jitter draw per alive node per cycle in
+  // "workload", and the shuffle, the uniform partner draws and the loss
+  // coins in "partner-draw".
+  expect_ledger(cycle_churn_uniform(), {
+                                           {"churn", 48, 24},
+                                           {"workload", 3936, 72},
+                                           {"partner-draw", 10893, 24},
+                                       });
 }
 
 TEST(DrawLedger, EventPushSumGolden) {
