@@ -205,8 +205,6 @@ AggregatorPlan AggregatorPlan::from_specs(
     plan.plane_combiners_.insert(plan.plane_combiners_.end(),
                                  def->plane_combiners.begin(),
                                  def->plane_combiners.end());
-    if (def->width != 1 || def->decay != nullptr || def->windowed)
-      plan.legacy_ = false;
     if (def->decay != nullptr || def->windowed) plan.dynamics_ = true;
   }
   return plan;

@@ -132,27 +132,13 @@ class AggregatorPlan {
   }
   [[nodiscard]] std::size_t planes() const { return plane_combiners_.size(); }
 
-  /// True when every instance is a width-1 kind with no decay/window
-  /// kernel — the plan is then an exact alias of the pre-registry
-  /// combiner vector and every legacy code path stays byte-identical.
-  [[nodiscard]] bool legacy() const { return legacy_; }
-
   /// True when any instance carries a decay kernel or a window — the
   /// engines then run the per-cycle decay/window pass.
   [[nodiscard]] bool has_dynamics() const { return dynamics_; }
 
-  /// Seeds `out[k] = state plane k` for one node from its scalar
-  /// attribute, per instance `inst`. `out` must hold inst.def->width
-  /// doubles (<= kMaxAggregatorWidth).
-  static void init_state(const AggregatorInstance& inst, double a,
-                         double* out) {
-    inst.def->init(a, out);
-  }
-
  private:
   std::vector<AggregatorInstance> instances_;
   std::vector<Combiner> plane_combiners_;
-  bool legacy_ = true;
   bool dynamics_ = false;
 };
 

@@ -109,15 +109,6 @@ EpochSummary summarize_participants(const RunningStats& stats,
   return summary;
 }
 
-EpochSummary summarize_approximations(std::span<const double> xs,
-                                      std::size_t end_cycle, EpochId epoch,
-                                      std::size_t population, double truth) {
-  RunningStats stats;
-  for (const double x : xs) stats.add(x);
-  return summarize_participants(stats, end_cycle, epoch, population,
-                                population, truth);
-}
-
 void report_overlay_health(const PeerSamplingService& overlay,
                            std::size_t cycle,
                            std::span<const std::shared_ptr<Observer>> observers) {
@@ -167,13 +158,18 @@ void seed_instance_attributes(NodeStateStore& store,
     store.set_attribute(id, inst.offset + k, state[k]);
 }
 
-void seed_instance(NodeStateStore& store, const AggregatorInstance& inst,
-                   NodeId id, double a) {
+void seed_wide_instances(NodeStateStore& store, const AggregatorPlan& plan,
+                         std::span<const double> initial) {
   double state[kMaxAggregatorWidth];
-  inst.def->init(a, state);
-  for (std::size_t k = 0; k < inst.def->width; ++k) {
-    store.set_attribute(id, inst.offset + k, state[k]);
-    store.set_approximation(id, inst.offset + k, state[k]);
+  for (const AggregatorInstance& inst : plan.instances()) {
+    if (inst.def->width == 1) continue;
+    for (NodeId id = 0; id < initial.size(); ++id) {
+      inst.def->init(initial[id], state);
+      for (std::size_t k = 0; k < inst.def->width; ++k) {
+        store.set_attribute(id, inst.offset + k, state[k]);
+        store.set_approximation(id, inst.offset + k, state[k]);
+      }
+    }
   }
 }
 
@@ -281,84 +277,122 @@ void SimulationImpl::report_tracking_errors(const NodeStateStore& store,
 namespace {
 
 // ===================================================================
-// StaticGossipImpl — averaging / multi-aggregate on a fixed population
+// CycleAveragingImpl — averaging / multi-aggregate on the cycle engine
 // ===================================================================
 //
-// Pair draws are delegated to a GETPAIR strategy over the composed topology,
-// reproducing AvgModel::run_cycle / run_multi_gossip_cycle draw-for-draw so
-// converted benches stay bit-identical. State lives in the slot-major
-// NodeStateStore; each cycle batches the selector/loss draws first (same RNG
-// consumption order as the historical fused loop — nothing drawn between
-// pairs depends on merged values) and then applies all merges plane by
-// plane.
-class StaticGossipImpl final : public SimulationImpl {
+// The paper's protocol is one skeleton: each cycle a node gets a neighbour,
+// exchanges with it, and updates. Only the PARTNER SOURCE differs between
+// configurations, chosen once at build time; the population policy follows
+// from it:
+//
+//  - kSelector: a GETPAIR PairSelector over a fixed topology (§3) on the
+//    fixed ids 0..n-1, reproducing AvgModel::run_cycle /
+//    run_multi_gossip_cycle draw-for-draw. Restarts re-copy whole planes and
+//    no AliveSet is ever built.
+//  - kUniform: a uniform fellow participant over the complete, peer-sampled
+//    overlay under churn. Leavers crash with their state, their slot ids
+//    recycle through the store's free-list, and joiners draw fresh
+//    attributes and wait for the next epoch.
+//  - kOverlay: a sample from the node's current view of a live
+//    PeerSamplingService (§4 runs averaging ON TOP OF NEWSCAST). The
+//    membership protocol advances one cycle per aggregation cycle, churn
+//    propagates into the overlay itself — joiners bootstrap through a random
+//    alive contact, crashers vanish with their view — and the overlay
+//    allocates the (recycled) slot ids the store follows. MembershipSpec
+//    snapshot mode instead freezes the warmed overlay into a topology and
+//    runs as kSelector.
+//
+// Per-node state is slot-major in the NodeStateStore. Churn fires only at
+// cycle boundaries and views change only in the overlay's own cycle, so each
+// cycle batches every partner/loss draw first — the RNG consumption order of
+// the historical fused loop, since nothing drawn between pairs depends on
+// merged values — and then applies the merges plane by plane.
+class CycleAveragingImpl final : public SimulationImpl {
 public:
-  StaticGossipImpl(std::shared_ptr<Rng> rng,
-                   std::vector<std::shared_ptr<Observer>> observers,
-                   std::size_t epoch_length,
-                   std::shared_ptr<const Topology> topology,
-                   std::unique_ptr<PairSelector> selector, AggregatorPlan plan,
-                   WorkloadSpec workload, std::vector<double> initial,
-                   double loss,
-                   std::shared_ptr<AdversaryRuntime> adversary = nullptr)
+  /// Exactly one partner source is set: a `selector` over the fixed
+  /// `topology`, a live `overlay`, or — when both are null — uniform
+  /// sampling from the live participants. `churn` is null for a static
+  /// population.
+  CycleAveragingImpl(std::shared_ptr<Rng> rng,
+                     std::vector<std::shared_ptr<Observer>> observers,
+                     std::size_t epoch_length, AggregatorPlan plan,
+                     WorkloadSpec workload, std::vector<double> initial,
+                     double loss, std::shared_ptr<AdversaryRuntime> adversary,
+                     std::unique_ptr<PairSelector> selector,
+                     std::shared_ptr<const Topology> topology,
+                     std::unique_ptr<PeerSamplingService> overlay,
+                     std::shared_ptr<ChurnSchedule> churn,
+                     ActivationOrder order)
       : SimulationImpl(std::move(rng), std::move(observers), epoch_length),
+        source_(selector != nullptr  ? Source::kSelector
+                : overlay != nullptr ? Source::kOverlay
+                                     : Source::kUniform),
         topology_(std::move(topology)),
         selector_(std::move(selector)),
+        overlay_(std::move(overlay)),
+        churn_(std::move(churn)),
+        ids_recycled_(churn_ != nullptr),
+        order_(order),
         plan_(std::move(plan)),
         workload_(std::move(workload)),
         combiners_(plan_.plane_combiners()),
         store_(combiners_.size(), initial),
         loss_(loss),
         adversary_(std::move(adversary)) {
-    // Multi-width instances need their kernel-seeded state; legacy plans
-    // skip the pass so their planes stay exactly the ctor's copies.
-    if (!plan_.legacy()) {
-      for (NodeId id = 0; id < store_.capacity(); ++id)
-        for (const AggregatorInstance& inst : plan_.instances())
-          seed_instance(store_, inst, id, initial[id]);
-    }
-    truth_ = exact_answer(combiners_.front(), store_.attributes(0));
-    epoch_start_cycle_ = 0;
+    seed_wide_instances(store_, plan_, initial);
     want_impact_ = adversary_ != nullptr && want_attack_impact();
     want_tracking_ = want_tracking_error();
-    if (workload_.is_time_varying() || want_tracking_) {
-      all_ids_.resize(store_.capacity());
-      for (NodeId id = 0; id < all_ids_.size(); ++id) all_ids_[id] = id;
+    for (const auto& observer : observers_)
+      want_health_ = want_health_ || observer->wants_overlay_health();
+    if (fixed()) {
+      if (workload_.is_time_varying() || want_tracking_ || want_impact_) {
+        all_ids_.resize(store_.capacity());
+        for (NodeId id = 0; id < all_ids_.size(); ++id) all_ids_[id] = id;
+      }
+      return;
+    }
+    if (churn_ == nullptr) churn_ = std::make_shared<NoChurn>();
+    for (NodeId id = 0; id < initial.size(); ++id) alive_.insert(id);
+    if (epoch_length_ == 0) {
+      // Continuous run (no churn by construction): everyone participates
+      // from cycle 0.
+      for (const NodeId id : alive_.members()) {
+        store_.set_participating(id, true);
+        participants_.insert(id);
+      }
     }
   }
 
   void run_cycle() override {
-    if (epoch_length_ > 0 && cycle_ == epoch_start_cycle_) restart_epoch();
-    // A time-varying workload evolves BEFORE this cycle's exchanges — the
+    if (epoch_length_ > 0 && cycle_ % epoch_length_ == 0) start_epoch();
+    if (!fixed()) apply_churn();
+    // A time-varying workload evolves the alive nodes BEFORE this cycle's
+    // exchanges (joiners just drew fresh values inside apply_churn) — the
     // estimators chase a target that moved under them. The flag is
     // config-constant, so static runs never enter the scope.
     // epiagg-lint: fixed-draw-count
     if (workload_.is_time_varying()) {
       RngAuditScope audit(*rng_, "workload");
-      evolve_workload(store_, plan_, workload_, cycle_ + 1, all_ids_, *rng_);
+      evolve_workload(store_, plan_, workload_, cycle_ + 1, alive_ids(), *rng_);
     }
     apply_aggregate_dynamics(store_, plan_, cycle_);
-
-    const std::size_t n = store_.capacity();
-    {
-      // Loss draws ride inside the pair loop, so on the cycle engine they are
-      // charged to the partner-draw phase (the event engine splits them out).
-      RngAuditScope audit(*rng_, "partner-draw");
-      selector_->begin_cycle(*rng_);
-      pairs_.clear();
-      for (std::size_t step = 0; step < n; ++step) {
-        const auto [i, j] = selector_->next_pair(*rng_);
-        EPIAGG_ASSERT(i != j, "GETPAIR returned a self-pair");
-        // A partition swallows cross-side exchanges BEFORE the loss draw is
-        // even attempted (the link does not exist).
-        if (adversary_ != nullptr && adversary_->blocks(i, j, cycle_)) continue;
-        // Lost push: the exchange silently never happens. Only drawn when
-        // loss is configured, so loss-free runs keep the canonical RNG
-        // stream.
-        if (loss_ > 0.0 && rng_->bernoulli(loss_)) continue;
-        pairs_.emplace_back(i, j);
+    if (overlay_ != nullptr) {
+      // The membership gossip advances first — "the overlay network is
+      // continuously changing" under the aggregation — so exchanges of this
+      // cycle see freshly merged (dead-purged, re-randomized) views.
+      overlay_->run_cycle();
+      // Poisoners strike right after the membership merge: their planted
+      // entries are the freshest in the victims' views when partners
+      // resolve. Adversary presence and its poisoning flag are
+      // config-constant, so the poison draws fire every cycle or never.
+      // epiagg-lint: fixed-draw-count
+      if (adversary_ != nullptr && adversary_->poisoning()) {
+        RngAuditScope audit(*rng_, "adversary");
+        adversary_->poison_overlay(*overlay_, alive_, *rng_);
       }
     }
+
+    draw_exchanges();
     if (adversary_ != nullptr && adversary_->rewrites_exchanges()) {
       adversary_->apply_exchanges(store_, combiners_, pairs_, cycle_);
     } else {
@@ -371,42 +405,57 @@ public:
 
     if (observed()) {
       // One accumulation pass for both moments; the accessor pair
-      // mean()/variance() would walk the vector three times.
-      RunningStats stats;
-      for (const double x : store_.approximations(0)) stats.add(x);
-      notify_cycle(CycleView{cycle_, n, stats.mean(), stats.variance(),
-                             std::span<const double>(store_.approximations(0))});
+      // mean()/variance() would walk the state three times.
+      const RunningStats stats = participant_stats();
+      notify_cycle(CycleView{
+          cycle_, population_size(), stats.mean(), stats.variance(),
+          fixed() ? std::span<const double>(store_.approximations(0))
+                  : std::span<const double>()});
     }
+    if (want_health_) report_overlay_health(*overlay_, cycle_, observers_);
     if (want_impact_) report_impact();
     if (want_tracking_)
-      report_tracking_errors(store_, plan_, cycle_, all_ids_, attr_scratch_,
-                             read_scratch_);
-    if (epoch_length_ > 0 && cycle_ - epoch_start_cycle_ == epoch_length_) {
-      record_epoch(summarize_approximations(store_.approximations(0), cycle_,
-                                            epoch_id_, n, truth_));
-      ++epoch_id_;
-      epoch_start_cycle_ = cycle_;
-    }
+      report_tracking_errors(store_, plan_, cycle_, participant_ids(),
+                             attr_scratch_, read_scratch_);
+    if (epoch_length_ > 0 && cycle_ % epoch_length_ == 0) finish_epoch();
   }
 
-  std::size_t population_size() const override { return store_.capacity(); }
+  std::size_t population_size() const override {
+    return fixed() ? store_.capacity() : alive_.size();
+  }
+  std::size_t participant_count() const override {
+    return fixed() ? store_.capacity() : participants_.size();
+  }
 
   const std::vector<double>& approximations() const override {
-    return store_.approximations(0);
+    return slot_approximations(0);
   }
 
   const std::vector<double>& slot_approximations(std::size_t s) const override {
     EPIAGG_EXPECTS(s < store_.slot_count(), "slot index out of range");
+    if (ids_recycled_)
+      unsupported("node ids are recycled under churn; read variance()/mean() "
+                  "or epochs() instead of the raw planes");
     return store_.approximations(s);
   }
 
-  std::shared_ptr<const Topology> topology() const override { return topology_; }
+  double variance() const override {
+    return fixed() ? SimulationImpl::variance() : participant_stats().variance();
+  }
+  double mean() const override {
+    return fixed() ? SimulationImpl::mean() : participant_stats().mean();
+  }
+
+  std::shared_ptr<const Topology> topology() const override {
+    return topology_ != nullptr ? topology_ : SimulationImpl::topology();
+  }
 
   void set_value(NodeId id, double value) override { set_slot_value(id, 0, value); }
 
   void set_slot_value(NodeId id, std::size_t slot, double value) override {
     EPIAGG_EXPECTS(slot < plan_.instances().size(), "slot index out of range");
-    EPIAGG_EXPECTS(id < store_.capacity(), "node id out of range");
+    EPIAGG_EXPECTS(id < store_.capacity() && (fixed() || alive_.contains(id)),
+                   "node id is not alive");
     EPIAGG_EXPECTS(epoch_length_ > 0,
                    "attribute updates only surface through epoch restarts; "
                    "configure .epoch_length(cycles)");
@@ -414,161 +463,89 @@ public:
   }
 
 private:
-  /// Epoch restart (§4): every slot re-snapshots the current attributes.
-  /// Consumes no randomness, so restarts never perturb the pair stream.
-  void restart_epoch() {
-    store_.snapshot_all();
-    truth_ = exact_answer(combiners_.front(), store_.attributes(0));
-    if (adversary_ != nullptr) adversary_->reset_windows();
+  enum class Source { kSelector, kUniform, kOverlay };
+
+  bool fixed() const { return source_ == Source::kSelector; }
+
+  /// Nodes whose attributes evolve (fixed: every id; else the alive set).
+  std::span<const NodeId> alive_ids() const {
+    return fixed() ? std::span<const NodeId>(all_ids_) : alive_.members();
   }
 
-  void report_impact() {
-    if (impact_ids_.size() != store_.capacity()) {
-      impact_ids_.resize(store_.capacity());
-      for (NodeId id = 0; id < impact_ids_.size(); ++id) impact_ids_[id] = id;
-    }
-    notify_attack_impact(adversary_->measure_impact(
-        cycle_, impact_ids_,
-        [this](NodeId id) { return store_.approximation(id, 0); },
-        [this](NodeId id) { return store_.attribute(id, 0); }));
+  /// Nodes whose state counts this epoch (fixed: every id; else the
+  /// participants — joiners wait for the next restart).
+  std::span<const NodeId> participant_ids() const {
+    return fixed() ? std::span<const NodeId>(all_ids_) : participants_.members();
   }
 
-  std::shared_ptr<const Topology> topology_;
-  std::unique_ptr<PairSelector> selector_;
-  AggregatorPlan plan_;
-  WorkloadSpec workload_;
-  std::vector<Combiner> combiners_;  // = plan_.plane_combiners(): the flat
-                                     // vector the batched store kernels run
-  NodeStateStore store_;
-  std::vector<ExchangePair> pairs_;  // per-cycle scratch
-  double loss_ = 0.0;
-  std::shared_ptr<AdversaryRuntime> adversary_;
-  bool want_impact_ = false;
-  bool want_tracking_ = false;
-  std::vector<NodeId> impact_ids_;
-  std::vector<NodeId> all_ids_;          // evolution / tracking id sweep
-  std::vector<double> attr_scratch_;     // tracking: raw attributes
-  std::vector<double> read_scratch_;     // tracking: per-node estimates
-  double truth_ = 0.0;
-  EpochId epoch_id_ = 0;
-  std::size_t epoch_start_cycle_ = 0;
-};
-
-// ===================================================================
-// ChurnGossipImpl — averaging / multi-aggregate under churn
-// ===================================================================
-//
-// The paper's dynamic regime: a complete (peer-sampled) overlay, epoch
-// restarts, leavers crash with their state, joiners draw fresh attributes
-// from the workload distribution and wait for the next epoch. Per-node
-// state lives in the slot-major NodeStateStore (crashed slot ids are
-// recycled through its free-list). Churn fires only at cycle boundaries, so
-// the participant set is fixed for the whole sweep: each cycle batches the
-// partner/loss draws first — identical RNG consumption order to the
-// historical fused loop — and then applies the merges plane by plane.
-class ChurnGossipImpl final : public SimulationImpl {
-public:
-  ChurnGossipImpl(std::shared_ptr<Rng> rng,
-                  std::vector<std::shared_ptr<Observer>> observers,
-                  std::size_t epoch_length, AggregatorPlan plan,
-                  std::vector<double> initial, WorkloadSpec workload,
-                  std::shared_ptr<ChurnSchedule> churn, ActivationOrder order,
-                  double loss,
-                  std::shared_ptr<AdversaryRuntime> adversary = nullptr)
-      : SimulationImpl(std::move(rng), std::move(observers), epoch_length),
-        plan_(std::move(plan)),
-        workload_(std::move(workload)),
-        combiners_(plan_.plane_combiners()),
-        joiner_distribution_(workload_.distribution),
-        churn_(std::move(churn)),
-        order_(order),
-        store_(combiners_.size(), initial),
-        loss_(loss),
-        adversary_(std::move(adversary)) {
-    // Multi-width instances need their kernel-seeded state; legacy plans
-    // skip the pass so their planes stay exactly the ctor's copies.
-    if (!plan_.legacy()) {
-      for (NodeId id = 0; id < initial.size(); ++id)
-        for (const AggregatorInstance& inst : plan_.instances())
-          seed_instance(store_, inst, id, initial[id]);
-    }
-    for (NodeId id = 0; id < initial.size(); ++id) alive_.insert(id);
-    want_impact_ = adversary_ != nullptr && want_attack_impact();
-    want_tracking_ = want_tracking_error();
-  }
-
-  void run_cycle() override {
-    if (cycle_ % epoch_length_ == 0) start_epoch();
-    apply_churn();
-    // A time-varying workload evolves the survivors BEFORE this cycle's
-    // exchanges (joiners just drew fresh values inside apply_churn). The
-    // flag is config-constant, so static runs never enter the scope.
-    // epiagg-lint: fixed-draw-count
-    if (workload_.is_time_varying()) {
-      RngAuditScope audit(*rng_, "workload");
-      evolve_workload(store_, plan_, workload_, cycle_ + 1, alive_.members(),
-                      *rng_);
-    }
-    apply_aggregate_dynamics(store_, plan_, cycle_);
-
-    {
-      RngAuditScope audit(*rng_, "partner-draw");
-      scratch_ = participants_.members();
-      // Config-constant activation order (always or never shuffles for a
-      // given run). epiagg-lint: fixed-draw-count
-      if (order_ == ActivationOrder::kShuffled) rng_->shuffle(scratch_);
-      pairs_.clear();
-      for (const NodeId id : scratch_) {
-        if (participants_.size() < 2) break;
-        const NodeId peer = participants_.sample_other(id, *rng_);
-        if (adversary_ != nullptr && adversary_->blocks(id, peer, cycle_))
-          continue;
-        if (loss_ > 0.0 && rng_->bernoulli(loss_)) continue;
-        pairs_.emplace_back(id, peer);
-      }
-    }
-    if (adversary_ != nullptr && adversary_->rewrites_exchanges()) {
-      adversary_->apply_exchanges(store_, combiners_, pairs_, cycle_);
+  RunningStats participant_stats() const {
+    RunningStats stats;
+    if (fixed()) {
+      for (const double x : store_.approximations(0)) stats.add(x);
     } else {
-      store_.apply_exchanges(combiners_, pairs_);
-    }
-    if (observed()) {
-      for (const auto& [i, j] : pairs_) notify_exchange(i, j);
-    }
-    ++cycle_;
-
-    if (observed()) {
-      RunningStats stats;
       for (const NodeId id : participants_.members())
         stats.add(store_.approximation(id, 0));
-      notify_cycle(CycleView{cycle_, alive_.size(), stats.mean(),
-                             stats.variance(), {}});
     }
-    if (want_impact_) {
-      notify_attack_impact(adversary_->measure_impact(
-          cycle_, participants_.members(),
-          [this](NodeId id) { return store_.approximation(id, 0); },
-          [this](NodeId id) { return store_.attribute(id, 0); }));
-    }
-    if (want_tracking_)
-      report_tracking_errors(store_, plan_, cycle_, participants_.members(),
-                             attr_scratch_, read_scratch_);
-    if (cycle_ % epoch_length_ == 0) finish_epoch();
+    return stats;
   }
 
-  std::size_t population_size() const override { return alive_.size(); }
-  std::size_t participant_count() const override { return participants_.size(); }
-
-  void set_value(NodeId id, double value) override { set_slot_value(id, 0, value); }
-
-  void set_slot_value(NodeId id, std::size_t slot, double value) override {
-    EPIAGG_EXPECTS(slot < plan_.instances().size(), "slot index out of range");
-    EPIAGG_EXPECTS(id < store_.capacity() && alive_.contains(id),
-                   "node id is not alive");
-    seed_instance_attributes(store_, plan_.instances()[slot], id, value);
+  /// One cycle's partner sweep. The source is dispatched once per cycle;
+  /// inside each loop the only indirect call is the selector's next_pair.
+  void draw_exchanges() {
+    // Loss draws ride inside the pair loop, so on the cycle engine they are
+    // charged to the partner-draw phase (the event engine splits them out).
+    RngAuditScope audit(*rng_, "partner-draw");
+    pairs_.clear();
+    switch (source_) {
+      case Source::kSelector: {
+        selector_->begin_cycle(*rng_);
+        const std::size_t n = store_.capacity();
+        for (std::size_t step = 0; step < n; ++step) {
+          const auto [i, j] = selector_->next_pair(*rng_);
+          EPIAGG_ASSERT(i != j, "GETPAIR returned a self-pair");
+          offer(i, j);
+        }
+        return;
+      }
+      case Source::kUniform:
+        for (const NodeId id : activation_order()) {
+          if (participants_.size() < 2) break;
+          offer(id, participants_.sample_other(id, *rng_));
+        }
+        return;
+      case Source::kOverlay:
+        for (const NodeId id : activation_order()) {
+          const NodeId peer = overlay_->random_view_peer(id, *rng_);
+          // No live contact this cycle, or a joiner that waits for the next
+          // epoch restart before it carries protocol state (exchanging with
+          // it would corrupt the running estimate).
+          if (peer == kInvalidNode || !store_.participating(peer)) continue;
+          offer(id, peer);
+        }
+        return;
+    }
   }
 
-private:
+  /// The participants in this cycle's activation order.
+  const std::vector<NodeId>& activation_order() {
+    scratch_ = participants_.members();
+    // Config-constant activation order (always or never shuffles for a
+    // given run). epiagg-lint: fixed-draw-count
+    if (order_ == ActivationOrder::kShuffled) rng_->shuffle(scratch_);
+    return scratch_;
+  }
+
+  /// Queues the exchange (i, j) unless the link is cut or the push is lost.
+  void offer(NodeId i, NodeId j) {
+    // A partition swallows cross-side exchanges BEFORE the loss draw is even
+    // attempted (the link does not exist).
+    if (adversary_ != nullptr && adversary_->blocks(i, j, cycle_)) return;
+    // Lost push: the exchange silently never happens. Only drawn when loss
+    // is configured, so loss-free runs keep the canonical RNG stream.
+    if (loss_ > 0.0 && rng_->bernoulli(loss_)) return;
+    pairs_.emplace_back(i, j);
+  }
+
   void apply_churn() {
     RngAuditScope audit(*rng_, "churn");
     const ChurnAction action = churn_->at_cycle(cycle_, alive_.size());
@@ -579,325 +556,111 @@ private:
       const NodeId victim = alive_.sample(*rng_);
       if (store_.participating(victim)) participants_.erase(victim);
       alive_.erase(victim);
-      store_.release(victim);
+      // Crashers take their state along. An overlay owns its slot ids (the
+      // store just zeroes the slot); otherwise the store recycles the id.
+      if (overlay_ != nullptr) {
+        overlay_->remove_node(victim);
+        store_.reset(victim);
+      } else {
+        store_.release(victim);
+      }
       // The recycled slot belongs to a fresh, honest joiner from here on.
       if (adversary_ != nullptr) adversary_->clear_role(victim);
     }
     for (std::size_t k = 0; k < action.joins; ++k) {
-      const NodeId id = store_.acquire();
+      NodeId id = kInvalidNode;
+      // Config-constant partner source: the overlay arm draws one bootstrap
+      // contact per join on every cycle. epiagg-lint: fixed-draw-count
+      if (overlay_ != nullptr) {
+        // The overlay allocates the slot id (possibly recycling a crashed
+        // one); the store just follows its numbering.
+        id = overlay_->add_node(alive_.sample(*rng_));
+        store_.ensure(id);
+      } else {
+        id = store_.acquire();
+      }
       // Joiner attribute values are workload draws, not churn draws. One
       // draw per INSTANCE (for width-1 plans: per plane, as always).
       RngAuditScope workload(*rng_, "workload");
       for (const AggregatorInstance& inst : plan_.instances())
         seed_instance_attributes(
-            store_, inst, id, generate_values(joiner_distribution_, 1, *rng_)[0]);
+            store_, inst, id,
+            generate_values(workload_.distribution, 1, *rng_)[0]);
       store_.snapshot(id);  // the joiner's estimate starts at its attributes
       alive_.insert(id);
     }
   }
 
+  /// Epoch restart (§4). Consumes no randomness, so restarts never perturb
+  /// the pair stream.
   void start_epoch() {
-    for (const NodeId id : alive_.members()) {
-      store_.snapshot(id);
-      if (!store_.participating(id)) {
-        store_.set_participating(id, true);
-        participants_.insert(id);
-      }
-    }
-    epoch_start_size_ = alive_.size();
-    snapshot_.clear();
-    for (const NodeId id : participants_.members())
-      snapshot_.push_back(store_.attribute(id, 0));
-    truth_ = exact_answer(combiners_.front(), snapshot_);
-    if (adversary_ != nullptr) adversary_->reset_windows();
-  }
-
-  void finish_epoch() {
-    RunningStats stats;
-    for (const NodeId id : participants_.members())
-      stats.add(store_.approximation(id, 0));
-    record_epoch(summarize_participants(stats, cycle_, epoch_id_++,
-                                        epoch_start_size_, alive_.size(),
-                                        truth_));
-  }
-
-  AggregatorPlan plan_;
-  WorkloadSpec workload_;
-  std::vector<Combiner> combiners_;  // = plan_.plane_combiners()
-  ValueDistribution joiner_distribution_;
-  std::shared_ptr<ChurnSchedule> churn_;
-  ActivationOrder order_;
-  NodeStateStore store_;
-  AliveSet alive_;
-  AliveSet participants_;
-  std::vector<NodeId> scratch_;
-  std::vector<ExchangePair> pairs_;  // per-cycle scratch
-  std::vector<double> snapshot_;
-  double loss_ = 0.0;
-  std::shared_ptr<AdversaryRuntime> adversary_;
-  bool want_impact_ = false;
-  bool want_tracking_ = false;
-  std::vector<double> attr_scratch_;  // tracking: raw attributes
-  std::vector<double> read_scratch_;  // tracking: per-node estimates
-  EpochId epoch_id_ = 0;
-  std::size_t epoch_start_size_ = 0;
-  double truth_ = 0.0;
-};
-
-// ===================================================================
-// LiveMembershipGossipImpl — averaging over an evolving peer-sampled overlay
-// ===================================================================
-//
-// The paper's dynamic story run literally (§4 runs averaging ON TOP OF
-// NEWSCAST while nodes join and crash): the membership protocol advances one
-// cycle per aggregation cycle, every initiator resolves its exchange partner
-// from its CURRENT view through PeerSamplingService::random_view_peer, and
-// ChurnSchedule joins/leaves propagate into the overlay itself — joiners
-// bootstrap through a random alive contact (join exchange inside add_node),
-// crashers vanish with their view. MembershipSpec snapshot mode instead
-// freezes the warmed overlay into a GraphTopology and takes the
-// StaticGossipImpl path (bit-identical to the historical runs).
-//
-// Node ids are overlay slot ids; the overlays recycle crashed slots through
-// a free-list, so both the overlay's view table and the store's value
-// planes stay bounded by the peak population under sustained churn. As in
-// the other cycle impls, the per-node state is slot-major in the
-// NodeStateStore and each cycle batches the view/loss draws (views and the
-// participant set do not change during the aggregation sweep, so the RNG
-// consumption order matches the historical fused loop) before applying the
-// merges plane by plane.
-class LiveMembershipGossipImpl final : public SimulationImpl {
-public:
-  LiveMembershipGossipImpl(std::shared_ptr<Rng> rng,
-                           std::vector<std::shared_ptr<Observer>> observers,
-                           std::size_t epoch_length,
-                           std::unique_ptr<PeerSamplingService> overlay,
-                           AggregatorPlan plan, std::vector<double> initial,
-                           WorkloadSpec workload,
-                           std::shared_ptr<ChurnSchedule> churn,
-                           ActivationOrder order, double loss,
-                           std::shared_ptr<AdversaryRuntime> adversary = nullptr)
-      : SimulationImpl(std::move(rng), std::move(observers), epoch_length),
-        overlay_(std::move(overlay)),
-        plan_(std::move(plan)),
-        workload_(std::move(workload)),
-        combiners_(plan_.plane_combiners()),
-        joiner_distribution_(workload_.distribution),
-        churn_(std::move(churn)),
-        order_(order),
-        store_(combiners_.size(), initial),
-        loss_(loss),
-        adversary_(std::move(adversary)) {
-    // Multi-width instances need their kernel-seeded state; legacy plans
-    // skip the pass so their planes stay exactly the ctor's copies.
-    if (!plan_.legacy()) {
-      for (NodeId id = 0; id < initial.size(); ++id)
-        for (const AggregatorInstance& inst : plan_.instances())
-          seed_instance(store_, inst, id, initial[id]);
-    }
-    for (const auto& observer : observers_)
-      want_health_ = want_health_ || observer->wants_overlay_health();
-    want_impact_ = adversary_ != nullptr && want_attack_impact();
-    want_tracking_ = want_tracking_error();
-    for (NodeId id = 0; id < initial.size(); ++id) alive_.insert(id);
-    if (epoch_length_ == 0) {
-      // Continuous run (no churn by construction): everyone participates
-      // from cycle 0 and the truth is the initial snapshot's exact answer.
-      for (const NodeId id : alive_.members()) {
-        store_.set_participating(id, true);
-        participants_.insert(id);
-      }
-      truth_ = exact_answer(combiners_.front(), initial);
-    }
-  }
-
-  void run_cycle() override {
-    if (epoch_length_ > 0 && cycle_ % epoch_length_ == 0) start_epoch();
-    apply_churn();
-    // A time-varying workload evolves the survivors BEFORE this cycle's
-    // exchanges (joiners just drew fresh values inside apply_churn). The
-    // flag is config-constant, so static runs never enter the scope.
-    // epiagg-lint: fixed-draw-count
-    if (workload_.is_time_varying()) {
-      RngAuditScope audit(*rng_, "workload");
-      evolve_workload(store_, plan_, workload_, cycle_ + 1, alive_.members(),
-                      *rng_);
-    }
-    apply_aggregate_dynamics(store_, plan_, cycle_);
-    // The membership gossip advances first — "the overlay network is
-    // continuously changing" under the aggregation — so exchanges of this
-    // cycle see freshly merged (dead-purged, re-randomized) views.
-    overlay_->run_cycle();
-    // Poisoners strike right after the membership merge: their planted
-    // entries are the freshest in the victims' views when partners resolve.
-    // Adversary presence and its poisoning flag are config-constant, so the
-    // poison draws fire every cycle or never. epiagg-lint: fixed-draw-count
-    if (adversary_ != nullptr && adversary_->poisoning()) {
-      RngAuditScope audit(*rng_, "adversary");
-      adversary_->poison_overlay(*overlay_, alive_, *rng_);
-    }
-
-    {
-      RngAuditScope audit(*rng_, "partner-draw");
-      scratch_ = participants_.members();
-      // Config-constant activation order (always or never shuffles for a
-      // given run). epiagg-lint: fixed-draw-count
-      if (order_ == ActivationOrder::kShuffled) rng_->shuffle(scratch_);
-      pairs_.clear();
-      for (const NodeId id : scratch_) {
-        const NodeId peer = overlay_->random_view_peer(id, *rng_);
-        if (peer == kInvalidNode) continue;  // no live contact this cycle
-        // A joiner waits for the next epoch restart before it carries
-        // protocol state; exchanging with it would corrupt the running
-        // estimate.
-        if (!store_.participating(peer)) continue;
-        if (adversary_ != nullptr && adversary_->blocks(id, peer, cycle_))
-          continue;
-        if (loss_ > 0.0 && rng_->bernoulli(loss_)) continue;
-        pairs_.emplace_back(id, peer);
-      }
-    }
-    if (adversary_ != nullptr && adversary_->rewrites_exchanges()) {
-      adversary_->apply_exchanges(store_, combiners_, pairs_, cycle_);
+    if (fixed()) {
+      // Every plane re-snapshots the current attributes.
+      store_.snapshot_all();
+      truth_ = exact_answer(combiners_.front(), store_.attributes(0));
     } else {
-      store_.apply_exchanges(combiners_, pairs_);
-    }
-    if (observed()) {
-      for (const auto& [i, j] : pairs_) notify_exchange(i, j);
-    }
-    ++cycle_;
-
-    if (observed()) {
-      const RunningStats stats = participant_stats();
-      notify_cycle(
-          CycleView{cycle_, alive_.size(), stats.mean(), stats.variance(), {}});
-    }
-    if (want_health_) notify_overlay_health();
-    if (want_impact_) report_impact();
-    if (want_tracking_)
-      report_tracking_errors(store_, plan_, cycle_, participants_.members(),
-                             attr_scratch_, read_scratch_);
-    if (epoch_length_ > 0 && cycle_ % epoch_length_ == 0) finish_epoch();
-  }
-
-  std::size_t population_size() const override { return alive_.size(); }
-  std::size_t participant_count() const override { return participants_.size(); }
-
-  double variance() const override { return participant_stats().variance(); }
-  double mean() const override { return participant_stats().mean(); }
-
-  void set_value(NodeId id, double value) override { set_slot_value(id, 0, value); }
-
-  void set_slot_value(NodeId id, std::size_t slot, double value) override {
-    EPIAGG_EXPECTS(slot < plan_.instances().size(), "slot index out of range");
-    EPIAGG_EXPECTS(id < store_.capacity() && alive_.contains(id),
-                   "node id is not alive");
-    EPIAGG_EXPECTS(epoch_length_ > 0,
-                   "attribute updates only surface through epoch restarts; "
-                   "configure .epoch_length(cycles)");
-    seed_instance_attributes(store_, plan_.instances()[slot], id, value);
-  }
-
-private:
-  RunningStats participant_stats() const {
-    RunningStats stats;
-    for (const NodeId id : participants_.members())
-      stats.add(store_.approximation(id, 0));
-    return stats;
-  }
-
-  void apply_churn() {
-    RngAuditScope audit(*rng_, "churn");
-    const ChurnAction action = churn_->at_cycle(cycle_, alive_.size());
-    // ChurnModel::at_cycle is a pure function of (cycle, population), and the
-    // population evolves only through this stream, so the leave count — and
-    // the guard's clamp — is seed-determined. epiagg-lint: fixed-draw-count
-    for (std::size_t k = 0; k < action.leaves && alive_.size() > 2; ++k) {
-      const NodeId victim = alive_.sample(*rng_);
-      overlay_->remove_node(victim);
-      if (store_.participating(victim)) participants_.erase(victim);
-      alive_.erase(victim);
-      store_.reset(victim);  // crashers take their state along
-      // The recycled slot belongs to a fresh, honest joiner from here on.
-      if (adversary_ != nullptr) adversary_->clear_role(victim);
-    }
-    for (std::size_t k = 0; k < action.joins; ++k) {
-      const NodeId contact = alive_.sample(*rng_);
-      // The overlay allocates the slot id (possibly recycling a crashed
-      // one); the store just follows its numbering.
-      const NodeId id = overlay_->add_node(contact);
-      store_.ensure(id);
-      // Joiner attribute values are workload draws, not churn draws. One
-      // draw per INSTANCE (for width-1 plans: per plane, as always).
-      RngAuditScope workload(*rng_, "workload");
-      for (const AggregatorInstance& inst : plan_.instances())
-        seed_instance_attributes(
-            store_, inst, id, generate_values(joiner_distribution_, 1, *rng_)[0]);
-      store_.snapshot(id);
-      store_.set_participating(id, false);
-      alive_.insert(id);
-    }
-  }
-
-  void start_epoch() {
-    for (const NodeId id : alive_.members()) {
-      store_.snapshot(id);
-      if (!store_.participating(id)) {
-        store_.set_participating(id, true);
-        participants_.insert(id);
+      // Every alive node, joiners included, (re-)enters with its attributes.
+      for (const NodeId id : alive_.members()) {
+        store_.snapshot(id);
+        if (!store_.participating(id)) {
+          store_.set_participating(id, true);
+          participants_.insert(id);
+        }
       }
+      snapshot_.clear();
+      for (const NodeId id : participants_.members())
+        snapshot_.push_back(store_.attribute(id, 0));
+      truth_ = exact_answer(combiners_.front(), snapshot_);
     }
-    epoch_start_size_ = alive_.size();
-    snapshot_.clear();
-    for (const NodeId id : participants_.members())
-      snapshot_.push_back(store_.attribute(id, 0));
-    truth_ = exact_answer(combiners_.front(), snapshot_);
+    epoch_start_size_ = population_size();
     if (adversary_ != nullptr) adversary_->reset_windows();
   }
 
   void finish_epoch() {
     record_epoch(summarize_participants(participant_stats(), cycle_,
                                         epoch_id_++, epoch_start_size_,
-                                        alive_.size(), truth_));
-  }
-
-  void notify_overlay_health() {
-    report_overlay_health(*overlay_, cycle_, observers_);
+                                        population_size(), truth_));
   }
 
   void report_impact() {
     AttackImpact impact = adversary_->measure_impact(
-        cycle_, participants_.members(),
+        cycle_, participant_ids(),
         [this](NodeId id) { return store_.approximation(id, 0); },
         [this](NodeId id) { return store_.attribute(id, 0); });
-    if (adversary_->poisoning())
+    if (overlay_ != nullptr && adversary_->poisoning())
       impact.capture_ratio = adversary_->capture_ratio(*overlay_, alive_.members());
     notify_attack_impact(impact);
   }
 
-  std::unique_ptr<PeerSamplingService> overlay_;
+  Source source_;
+  std::shared_ptr<const Topology> topology_;      // kSelector only
+  std::unique_ptr<PairSelector> selector_;        // kSelector only
+  std::unique_ptr<PeerSamplingService> overlay_;  // kOverlay only
+  std::shared_ptr<ChurnSchedule> churn_;  // dynamic sources (NoChurn if unset)
+  bool ids_recycled_ = false;             // churn configured
+  ActivationOrder order_;
   AggregatorPlan plan_;
   WorkloadSpec workload_;
-  std::vector<Combiner> combiners_;  // = plan_.plane_combiners()
-  ValueDistribution joiner_distribution_;
-  std::shared_ptr<ChurnSchedule> churn_;
-  ActivationOrder order_;
+  std::vector<Combiner> combiners_;  // = plan_.plane_combiners(): the flat
+                                     // vector the batched store kernels run
   NodeStateStore store_;
   double loss_ = 0.0;
   std::shared_ptr<AdversaryRuntime> adversary_;
   bool want_impact_ = false;
   bool want_health_ = false;
   bool want_tracking_ = false;
+  AliveSet alive_;         // dynamic sources only
+  AliveSet participants_;  // dynamic sources only
+  std::vector<NodeId> all_ids_;  // fixed: 0..n-1, built only when a sweep
+                                 // (evolution, impact, tracking) needs it
+  std::vector<NodeId> scratch_;      // per-cycle activation order
+  std::vector<ExchangePair> pairs_;  // per-cycle scratch
+  std::vector<double> snapshot_;      // epoch-start participant attributes
   std::vector<double> attr_scratch_;  // tracking: raw attributes
   std::vector<double> read_scratch_;  // tracking: per-node estimates
-  AliveSet alive_;
-  AliveSet participants_;
-  std::vector<NodeId> scratch_;
-  std::vector<ExchangePair> pairs_;  // per-cycle scratch
-  std::vector<double> snapshot_;
+  double truth_ = 0.0;
   EpochId epoch_id_ = 0;
   std::size_t epoch_start_size_ = 0;
-  double truth_ = 0.0;
 };
 
 // ===================================================================
@@ -1839,25 +1602,26 @@ Simulation SimulationBuilder::build() {
         std::move(overlay), std::move(runtime)));
   }
 
+  // Averaging family and push-sum. Partner source: a live membership
+  // overlay, a fixed topology (static populations), or — under churn — the
+  // complete, peer-sampled live population. Adaptive runs keep sampling the
+  // live population even without churn: join(value) may grow it past any
+  // frozen topology. Build-time config dispatch (see the note above).
+  // epiagg-lint: fixed-draw-count
+  std::unique_ptr<PeerSamplingService> overlay;
+  std::shared_ptr<const Topology> topology;
+  if (live_membership) {
+    overlay = build_overlay();
+  } else if (!has_churn && !adaptive_epochs_) {
+    topology = build_fixed_topology();
+  }
+  std::vector<double> initial =
+      workload_.is_explicit() ? workload_.values
+                              : generate_values(workload_.distribution, n, *rng);
+  auto runtime = make_runtime(n);
+
   // Build-time config dispatch (see the note above). epiagg-lint: fixed-draw-count
   if (engine_ == EngineKind::kEvent) {
-    // Averaging family and push-sum on the event engine. Partner source:
-    // a live membership overlay, a fixed topology (static populations), or
-    // — under churn — the complete, peer-sampled live population.
-    std::unique_ptr<PeerSamplingService> overlay;
-    std::shared_ptr<const Topology> topology;
-    if (live_membership) {
-      overlay = build_overlay();
-    } else if (!has_churn && !adaptive_epochs_) {
-      // Adaptive runs keep sampling the live population even without churn:
-      // join(value) may grow it past any frozen topology.
-      topology = build_fixed_topology();
-    }
-    std::vector<double> initial =
-        workload_.is_explicit()
-            ? workload_.values
-            : generate_values(workload_.distribution, n, *rng);
-
     detail::EventSpec spec;
     spec.epoch_length = epoch_length;
     spec.adaptive = adaptive_epochs_;
@@ -1868,7 +1632,7 @@ Simulation SimulationBuilder::build() {
     spec.churn = failures_.churn;  // null = static population
     spec.joiner_distribution = workload_.distribution;
     spec.workload = workload_;
-    spec.adversary = make_runtime(n);
+    spec.adversary = std::move(runtime);
 
     if (protocol_ == ProtocolVariant::kPushSum) {
       return Simulation(detail::make_event_push_sum(
@@ -1895,60 +1659,28 @@ Simulation SimulationBuilder::build() {
         std::move(overlay), std::move(topology)));
   }
 
-  // Build-time config dispatch (see the note above). epiagg-lint: fixed-draw-count
-  if (live_membership) {
-    // Only the averaging family reaches this branch (push-sum / size
-    // estimation combinations were rejected above).
-    std::unique_ptr<PeerSamplingService> overlay = build_overlay();
-    std::vector<double> initial =
-        workload_.is_explicit()
-            ? workload_.values
-            : generate_values(workload_.distribution, n, *rng);
-    auto runtime = make_runtime(n);
-    return Simulation(std::make_unique<detail::LiveMembershipGossipImpl>(
-        rng, observers_, epoch_length, std::move(overlay), std::move(plan),
-        std::move(initial), workload_,
-        has_churn ? failures_.churn : std::make_shared<NoChurn>(), activation_,
-        failures_.message_loss, std::move(runtime)));
-  }
-
-  // Build-time config dispatch (see the note above). epiagg-lint: fixed-draw-count
-  if (averaging && has_churn) {
-    std::vector<double> initial = generate_values(workload_.distribution, n, *rng);
-    auto runtime = make_runtime(n);
-    return Simulation(std::make_unique<detail::ChurnGossipImpl>(
-        rng, observers_, epoch_length, std::move(plan), std::move(initial),
-        workload_, failures_.churn, activation_, failures_.message_loss,
-        std::move(runtime)));
-  }
-
-  // Static-population protocols gossip over an explicit topology.
-  std::shared_ptr<const Topology> topology = build_fixed_topology();
-
-  std::vector<double> initial =
-      workload_.is_explicit() ? workload_.values
-                              : generate_values(workload_.distribution, n, *rng);
-
+  // Push-sum gossips over a fixed topology only (live overlays and churn
+  // were rejected above).
   if (protocol_ == ProtocolVariant::kPushSum) {
-    auto runtime = make_runtime(n);
     return Simulation(std::make_unique<detail::PushSumImpl>(
         rng, observers_, std::move(topology), std::move(initial),
         failures_.message_loss, std::move(runtime)));
   }
 
   std::unique_ptr<PairSelector> selector;
-  if (pairs_ == PairStrategy::kSequential) {
-    selector = std::make_unique<SequentialSelector>(
-        topology, activation_ == ActivationOrder::kShuffled);
-  } else {
-    selector = make_pair_selector(pairs_, topology);
+  if (topology != nullptr) {
+    if (pairs_ == PairStrategy::kSequential) {
+      selector = std::make_unique<SequentialSelector>(
+          topology, activation_ == ActivationOrder::kShuffled);
+    } else {
+      selector = make_pair_selector(pairs_, topology);
+    }
   }
-
-  auto runtime = make_runtime(n);
-  return Simulation(std::make_unique<detail::StaticGossipImpl>(
-      rng, observers_, epoch_length, std::move(topology), std::move(selector),
-      std::move(plan), workload_, std::move(initial), failures_.message_loss,
-      std::move(runtime)));
+  return Simulation(std::make_unique<detail::CycleAveragingImpl>(
+      rng, observers_, epoch_length, std::move(plan), workload_,
+      std::move(initial), failures_.message_loss, std::move(runtime),
+      std::move(selector), std::move(topology), std::move(overlay),
+      failures_.churn, activation_));
 }
 
 }  // namespace epiagg

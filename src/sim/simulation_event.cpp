@@ -343,14 +343,8 @@ public:
     want_impact_ = spec_.adversary != nullptr && want_attack_impact();
     want_tracking_ = want_tracking_error();
     // Multi-width instances seed through their init kernels BEFORE any
-    // snapshot below; legacy plans (all planes width-1, init == identity)
-    // skip this — the seeded store already holds `initial` everywhere, so
-    // the byte stream is unchanged.
-    if (!plan_.legacy()) {
-      for (NodeId id = 0; id < initial.size(); ++id)
-        for (const AggregatorInstance& inst : plan_.instances())
-          seed_instance(store_, inst, id, initial[id]);
-    }
+    // snapshot below.
+    seed_wide_instances(store_, plan_, initial);
     // Merges are order-independent ACROSS nodes (each touches one target per
     // plane), so same-timestamp deliveries batch through apply_deliveries —
     // except when the merge itself is stateful: adaptive nodes snapshot and
@@ -614,8 +608,8 @@ private:
       id = store_.acquire();
       ensure_generation(id);
     }
-    // Per-instance init kernels; legacy plans (all width-1) write exactly
-    // the old per-plane `attribute` values.
+    // Per-instance init kernels; width-1 instances write exactly
+    // `attribute` into their plane.
     reseed_attributes(store_, plan_, id, attribute);
     store_.snapshot(id);
     alive_.insert(id);

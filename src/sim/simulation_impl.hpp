@@ -219,10 +219,6 @@ EpochSummary summarize_participants(const RunningStats& stats,
                                     std::size_t population_start,
                                     std::size_t population_end, double truth);
 
-EpochSummary summarize_approximations(std::span<const double> xs,
-                                      std::size_t end_cycle, EpochId epoch,
-                                      std::size_t population, double truth);
-
 /// Scans the participants' counting instances, feeds converged estimates
 /// back into the per-node size priors, and builds the §4 epoch summary.
 /// Shared by the cycle- and event-engine size-estimation impls:
@@ -279,11 +275,14 @@ void report_overlay_health(const PeerSamplingService& overlay,
 [[nodiscard]] double read_instance(const NodeStateStore& store,
                                    const AggregatorInstance& inst, NodeId id);
 
-/// Seeds every plane of instance `inst` for node `id` — attribute AND
-/// approximation — from the scalar attribute `a` through the instance's
-/// init kernel (state[0] == a by contract).
-void seed_instance(NodeStateStore& store, const AggregatorInstance& inst,
-                   NodeId id, double a);
+/// Seeds the state of every instance wider than one plane — attribute AND
+/// approximation planes of ids 0..initial.size()-1 — through its init
+/// kernel. A store built from `initial` already holds the raw attribute in
+/// every plane, and the init contract (state[0] == a) makes that exactly
+/// the seeded state of every width-1 kind, decaying and windowed included,
+/// so those instances are skipped rather than written a second time.
+void seed_wide_instances(NodeStateStore& store, const AggregatorPlan& plan,
+                         std::span<const double> initial);
 
 /// Writes one instance's freshly initialized state into the ATTRIBUTE
 /// planes only (callers snapshot / restart to surface it).

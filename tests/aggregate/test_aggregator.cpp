@@ -1,7 +1,7 @@
 // The aggregator registry: the open successor of the Combiner enum. These
 // tests pin the registry contract (builtins present, validation on
 // register, nullptr on unknown), the plan flattening (offsets, plane
-// combiners, legacy aliasing), and — at the FP-expression level — the
+// combiners, combiner aliasing), and — at the FP-expression level — the
 // decay and window kernels the engines execute once per cycle.
 #include "aggregate/aggregator.hpp"
 
@@ -87,7 +87,6 @@ TEST(AggregatorPlanTest, FromCombinersIsTheLegacyAlias) {
   const Combiner combiners[] = {Combiner::kAverage, Combiner::kMax,
                                 Combiner::kMin};
   const AggregatorPlan plan = AggregatorPlan::from_combiners(combiners);
-  EXPECT_TRUE(plan.legacy());
   EXPECT_FALSE(plan.has_dynamics());
   ASSERT_EQ(plan.instances().size(), 3u);
   ASSERT_EQ(plan.planes(), 3u);
@@ -104,7 +103,6 @@ TEST(AggregatorPlanTest, FromSpecsLaysInstancesOverConsecutivePlanes) {
       AggregatorSpec::decaying_mean("ewma", 0.25),
       AggregatorSpec::windowed_mean("win", 8)};
   const AggregatorPlan plan = AggregatorPlan::from_specs(specs);
-  EXPECT_FALSE(plan.legacy());  // variance is width-2, dynamics present
   EXPECT_TRUE(plan.has_dynamics());
   ASSERT_EQ(plan.instances().size(), 4u);
   EXPECT_EQ(plan.planes(), 5u);  // 1 + 2 + 1 + 1
@@ -124,12 +122,11 @@ TEST(AggregatorPlanTest, FromSpecsLaysInstancesOverConsecutivePlanes) {
 
 TEST(AggregatorPlanTest, AllWidthOneStaticSpecsStayLegacy) {
   // average/max/min via specs alias the historical combiner vector
-  // exactly; the engines then skip every non-legacy branch.
+  // exactly.
   const std::vector<AggregatorSpec> specs = {AggregatorSpec::average("a"),
                                              AggregatorSpec::maximum("b"),
                                              AggregatorSpec::minimum("c")};
   const AggregatorPlan plan = AggregatorPlan::from_specs(specs);
-  EXPECT_TRUE(plan.legacy());
   EXPECT_FALSE(plan.has_dynamics());
   const std::vector<Combiner> expected = {Combiner::kAverage, Combiner::kMax,
                                           Combiner::kMin};

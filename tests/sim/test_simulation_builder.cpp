@@ -405,6 +405,40 @@ TEST(SimulationBuilder, RuntimeMisuseOfTheWrongDriverThrows) {
   EXPECT_THROW(event_sim.approximations(), ContractViolation);
 }
 
+TEST(SimulationBuilder, ChurnRunsReadMomentsFromTheParticipants) {
+  // Under churn node ids are recycled, so the raw planes mix the current
+  // participants with crashed slots and waiting joiners. mean()/variance()
+  // answer from the participants — the very pass that closes an epoch — and
+  // the plane accessors refuse, on either partner source.
+  for (const bool overlay : {false, true}) {
+    SCOPED_TRACE(overlay ? "live overlay" : "uniform partners");
+    SimulationBuilder builder;
+    builder.nodes(200)
+        .failures(FailureSpec::with_churn(
+            std::make_shared<ConstantFluctuation>(2)))
+        .aggregates({AggregatorSpec::average("avg"),
+                     AggregatorSpec::maximum("max")})
+        .seed(10);
+    if (overlay) builder.membership(MembershipSpec::newscast(20, 10));
+    Simulation sim = builder.build();
+    const EpochSummary summary = sim.run_epoch();
+    EXPECT_EQ(sim.mean(), summary.est_mean);
+    EXPECT_EQ(sim.variance(), summary.variance);
+    EXPECT_EQ(sim.epochs().back().est_mean, summary.est_mean);
+    for (const std::size_t slot : {0u, 1u}) {
+      try {
+        (void)sim.slot_approximations(slot);
+        FAIL() << "slot " << slot << " exposed recycled ids";
+      } catch (const ContractViolation& violation) {
+        EXPECT_NE(std::string(violation.what()).find("node ids are recycled"),
+                  std::string::npos)
+            << "actual message: " << violation.what();
+      }
+    }
+    EXPECT_THROW((void)sim.approximations(), ContractViolation);
+  }
+}
+
 TEST(SimulationBuilder, ProtocolVariantsProduceWorkingSimulations) {
   // One happy-path spin of every variant, exercising the orthogonal axes.
   Simulation multi = SimulationBuilder()

@@ -58,25 +58,59 @@ TEST(SimulationDeterminism, OrderToggleChangesTheTraceOnlyWhereExpected) {
   EXPECT_LT(shuffled.back(), shuffled.front() * 1e-6);
 }
 
-TEST(SimulationDeterminism, ObserversDoNotPerturbTheRun) {
+/// The cycle engine's partner sources: a GETPAIR selector over a fixed
+/// topology, uniform sampling under churn, and a live Newscast overlay under
+/// churn.
+enum class PartnerSource { kFixedTopology, kUniformChurn, kOverlayChurn };
+
+class ObserverPurity : public ::testing::TestWithParam<PartnerSource> {};
+
+TEST_P(ObserverPurity, ObserversDoNotPerturbTheRun) {
   // Attaching observers must never consume randomness: a traced run and a
   // blind run from the same seed end in identical states.
   auto build = [](bool observed) {
     SimulationBuilder builder;
     builder.nodes(128)
         .workload(WorkloadSpec::from_distribution(ValueDistribution::kUniform))
+        .epoch_length(5)
         .seed(99);
-    if (observed) builder.observe(std::make_shared<VarianceTrace>());
+    if (GetParam() != PartnerSource::kFixedTopology)
+      builder.failures(
+          FailureSpec::with_churn(std::make_shared<ConstantFluctuation>(2)));
+    if (GetParam() == PartnerSource::kOverlayChurn)
+      builder.membership(MembershipSpec::newscast(12, 5));
+    if (observed) {
+      builder.observe(std::make_shared<VarianceTrace>());
+      builder.observe(std::make_shared<TrackingErrorObserver>());
+    }
     return builder.build();
   };
   Simulation blind = build(false);
   Simulation traced = build(true);
   blind.run_cycles(15);
   traced.run_cycles(15);
-  ASSERT_EQ(blind.approximations().size(), traced.approximations().size());
-  for (std::size_t i = 0; i < blind.approximations().size(); ++i)
-    EXPECT_EQ(blind.approximations()[i], traced.approximations()[i]);
+  EXPECT_EQ(blind.mean(), traced.mean());
+  ASSERT_EQ(blind.epochs().size(), 3u);
+  ASSERT_EQ(blind.epochs().size(), traced.epochs().size());
+  for (std::size_t e = 0; e < blind.epochs().size(); ++e) {
+    const EpochSummary& a = blind.epochs()[e];
+    const EpochSummary& b = traced.epochs()[e];
+    EXPECT_EQ(a.est_mean, b.est_mean) << "epoch " << e;
+    EXPECT_EQ(a.est_min, b.est_min) << "epoch " << e;
+    EXPECT_EQ(a.est_max, b.est_max) << "epoch " << e;
+    EXPECT_EQ(a.variance, b.variance) << "epoch " << e;
+    EXPECT_EQ(a.truth, b.truth) << "epoch " << e;
+    EXPECT_EQ(a.population_end, b.population_end) << "epoch " << e;
+  }
+  // Fixed ids are never recycled, so the raw planes must agree too.
+  if (GetParam() == PartnerSource::kFixedTopology)
+    EXPECT_EQ(blind.approximations(), traced.approximations());
 }
+
+INSTANTIATE_TEST_SUITE_P(SimulationDeterminism, ObserverPurity,
+                         ::testing::Values(PartnerSource::kFixedTopology,
+                                           PartnerSource::kUniformChurn,
+                                           PartnerSource::kOverlayChurn));
 
 TEST(SimulationDeterminism, EpochSummariesAreSeedStable) {
   auto epoch_fingerprint = [](std::uint64_t seed) {
