@@ -39,24 +39,4 @@ NodeId AliveSet::sample_other(NodeId exclude, Rng& rng) const {
   return members_[idx];
 }
 
-void CycleEngine::run(std::size_t cycles, Rng& rng) {
-  for (std::size_t c = 0; c < cycles; ++c) {
-    const std::size_t cycle = cycles_completed_;
-    if (hooks_.before_cycle) hooks_.before_cycle(cycle);
-    if (hooks_.activate) {
-      // Snapshot the membership so joins/leaves during activations do not
-      // invalidate the iteration; skip nodes that die mid-cycle.
-      scratch_order_ = population_.members();
-      // Config-constant activation order: a given run either always shuffles
-      // or never does. epiagg-lint: fixed-draw-count
-      if (order_ == ActivationOrder::kShuffled) rng.shuffle(scratch_order_);
-      for (const NodeId id : scratch_order_) {
-        if (population_.contains(id)) hooks_.activate(id);
-      }
-    }
-    if (hooks_.after_cycle) hooks_.after_cycle(cycle);
-    ++cycles_completed_;
-  }
-}
-
 }  // namespace epiagg

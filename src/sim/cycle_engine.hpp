@@ -2,13 +2,12 @@
 //
 // The paper's experiments are cycle-based: "one cycle of the protocol lasts
 // from k·Δt to (k+1)·Δt" and every node initiates once per cycle. This file
-// provides the two reusable pieces: a dense dynamic population with O(1)
-// membership operations and uniform sampling (the substrate for churn), and
-// a hook-driven cycle loop.
+// provides the dynamic population those cycles run over — a dense set with
+// O(1) membership operations and uniform sampling (the substrate for
+// churn) — and the per-cycle activation order.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "common/contract.hpp"
@@ -60,38 +59,6 @@ private:
 enum class ActivationOrder {
   kFixed,     ///< members in stable storage order
   kShuffled,  ///< a fresh uniform permutation every cycle
-};
-
-/// A hook-driven synchronous cycle loop over a dynamic population.
-class CycleEngine {
-public:
-  struct Hooks {
-    /// Runs before node activations of each cycle (churn lives here).
-    std::function<void(std::size_t cycle)> before_cycle;
-    /// Runs once per alive node per cycle, in the configured order.
-    std::function<void(NodeId id)> activate;
-    /// Runs after all activations of the cycle.
-    std::function<void(std::size_t cycle)> after_cycle;
-  };
-
-  CycleEngine(AliveSet& population, ActivationOrder order, Hooks hooks)
-      : population_(population), order_(order), hooks_(std::move(hooks)) {}
-
-  /// Runs `cycles` full cycles. Nodes joining/leaving inside before_cycle are
-  /// reflected immediately; membership changes during activations affect the
-  /// current cycle only for not-yet-activated nodes.
-  void run(std::size_t cycles, Rng& rng);
-
-  [[nodiscard]] std::size_t cycles_completed() const noexcept {
-    return cycles_completed_;
-  }
-
-private:
-  AliveSet& population_;
-  ActivationOrder order_;
-  Hooks hooks_;
-  std::size_t cycles_completed_ = 0;
-  std::vector<NodeId> scratch_order_;
 };
 
 }  // namespace epiagg

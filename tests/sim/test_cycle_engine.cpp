@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <map>
-#include <set>
-#include <vector>
 
 namespace epiagg {
 namespace {
@@ -92,76 +89,6 @@ TEST(AliveSet, EmptySampleThrows) {
   AliveSet set;
   Rng rng(6);
   EXPECT_THROW(set.sample(rng), ContractViolation);
-}
-
-TEST(CycleEngine, RunsHooksInOrder) {
-  AliveSet population;
-  for (NodeId i = 0; i < 4; ++i) population.insert(i);
-  std::vector<std::string> log;
-  CycleEngine::Hooks hooks;
-  hooks.before_cycle = [&](std::size_t c) { log.push_back("before" + std::to_string(c)); };
-  hooks.activate = [&](NodeId id) { log.push_back("node" + std::to_string(id)); };
-  hooks.after_cycle = [&](std::size_t c) { log.push_back("after" + std::to_string(c)); };
-  CycleEngine engine(population, ActivationOrder::kFixed, hooks);
-  Rng rng(1);
-  engine.run(2, rng);
-  ASSERT_EQ(log.size(), 12u);
-  EXPECT_EQ(log[0], "before0");
-  EXPECT_EQ(log[1], "node0");
-  EXPECT_EQ(log[4], "node3");
-  EXPECT_EQ(log[5], "after0");
-  EXPECT_EQ(log[6], "before1");
-  EXPECT_EQ(engine.cycles_completed(), 2u);
-}
-
-TEST(CycleEngine, ShuffledOrderActivatesEveryoneOnce) {
-  AliveSet population;
-  for (NodeId i = 0; i < 100; ++i) population.insert(i);
-  std::multiset<NodeId> activated;
-  CycleEngine::Hooks hooks;
-  hooks.activate = [&](NodeId id) { activated.insert(id); };
-  CycleEngine engine(population, ActivationOrder::kShuffled, hooks);
-  Rng rng(2);
-  engine.run(1, rng);
-  EXPECT_EQ(activated.size(), 100u);
-  for (NodeId i = 0; i < 100; ++i) EXPECT_EQ(activated.count(i), 1u);
-}
-
-TEST(CycleEngine, NodesRemovedMidCycleAreSkipped) {
-  AliveSet population;
-  for (NodeId i = 0; i < 10; ++i) population.insert(i);
-  std::vector<NodeId> activated;
-  CycleEngine::Hooks hooks;
-  hooks.activate = [&](NodeId id) {
-    activated.push_back(id);
-    if (id == 3) population.erase(7);  // kill a later node mid-cycle
-  };
-  CycleEngine engine(population, ActivationOrder::kFixed, hooks);
-  Rng rng(3);
-  engine.run(1, rng);
-  EXPECT_EQ(std::count(activated.begin(), activated.end(), 7), 0);
-  EXPECT_EQ(activated.size(), 9u);
-}
-
-TEST(CycleEngine, JoinsDuringCycleActivateNextCycle) {
-  AliveSet population;
-  population.insert(0);
-  population.insert(1);
-  std::vector<std::vector<NodeId>> per_cycle(2);
-  std::size_t current = 0;
-  CycleEngine::Hooks hooks;
-  hooks.before_cycle = [&](std::size_t c) { current = c; };
-  hooks.activate = [&](NodeId id) {
-    per_cycle[current].push_back(id);
-    if (current == 0 && id == 0 && !population.contains(5)) population.insert(5);
-  };
-  CycleEngine engine(population, ActivationOrder::kFixed, hooks);
-  Rng rng(4);
-  engine.run(2, rng);
-  // Node 5 joined during cycle 0 after the snapshot: not activated there...
-  EXPECT_EQ(std::count(per_cycle[0].begin(), per_cycle[0].end(), 5), 0);
-  // ...but participates in cycle 1.
-  EXPECT_EQ(std::count(per_cycle[1].begin(), per_cycle[1].end(), 5), 1);
 }
 
 }  // namespace
