@@ -331,7 +331,6 @@ public:
         selector_(std::move(selector)),
         overlay_(std::move(overlay)),
         churn_(std::move(churn)),
-        ids_recycled_(churn_ != nullptr),
         order_(order),
         plan_(std::move(plan)),
         workload_(std::move(workload)),
@@ -351,7 +350,6 @@ public:
       }
       return;
     }
-    if (churn_ == nullptr) churn_ = std::make_shared<NoChurn>();
     for (NodeId id = 0; id < initial.size(); ++id) alive_.insert(id);
     if (epoch_length_ == 0) {
       // Continuous run (no churn by construction): everyone participates
@@ -365,7 +363,7 @@ public:
 
   void run_cycle() override {
     if (epoch_length_ > 0 && cycle_ % epoch_length_ == 0) start_epoch();
-    if (!fixed()) apply_churn();
+    if (churn_ != nullptr) apply_churn();
     // A time-varying workload evolves the alive nodes BEFORE this cycle's
     // exchanges (joiners just drew fresh values inside apply_churn) — the
     // estimators chase a target that moved under them. The flag is
@@ -424,7 +422,7 @@ public:
     return fixed() ? store_.capacity() : alive_.size();
   }
   std::size_t participant_count() const override {
-    return fixed() ? store_.capacity() : participants_.size();
+    return fixed() ? population_size() : participants_.size();
   }
 
   const std::vector<double>& approximations() const override {
@@ -433,7 +431,7 @@ public:
 
   const std::vector<double>& slot_approximations(std::size_t s) const override {
     EPIAGG_EXPECTS(s < store_.slot_count(), "slot index out of range");
-    if (ids_recycled_)
+    if (churn_ != nullptr)
       unsupported("node ids are recycled under churn; read variance()/mean() "
                   "or epochs() instead of the raw planes");
     return store_.approximations(s);
@@ -636,8 +634,7 @@ private:
   std::shared_ptr<const Topology> topology_;      // kSelector only
   std::unique_ptr<PairSelector> selector_;        // kSelector only
   std::unique_ptr<PeerSamplingService> overlay_;  // kOverlay only
-  std::shared_ptr<ChurnSchedule> churn_;  // dynamic sources (NoChurn if unset)
-  bool ids_recycled_ = false;             // churn configured
+  std::shared_ptr<ChurnSchedule> churn_;          // null = static population
   ActivationOrder order_;
   AggregatorPlan plan_;
   WorkloadSpec workload_;
@@ -674,7 +671,7 @@ private:
 // size prior lives in the (single) attribute plane, participation in the
 // packed bitmap — and manages slot id recycling; the InstanceSets stay in a
 // parallel array (they are growable protocol state, not a value plane).
-// Unlike the averaging impls there is no plane-wise merge to batch draws
+// Unlike the averaging impl there is no plane-wise merge to batch draws
 // for — InstanceSet exchanges are growable-set merges — so the sweep stays
 // the historical fused draw-and-exchange loop.
 class SizeEstimationImpl final : public SimulationImpl {
@@ -711,9 +708,9 @@ public:
 
   void run_cycle() override {
     apply_churn();
-    // The live membership co-run (mirroring LiveMembershipGossipImpl): the
-    // overlay gossips one cycle first, then partners resolve from the
-    // evolving views instead of the complete participant set.
+    // The live membership co-run (as in CycleAveragingImpl's overlay
+    // source): the overlay gossips one cycle first, then partners resolve
+    // from the evolving views instead of the complete participant set.
     if (overlay_ != nullptr) {
       overlay_->run_cycle();
       // Adversary presence and its poisoning flag are config-constant, so the
