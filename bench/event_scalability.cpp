@@ -47,9 +47,8 @@ Simulation build_sim(double protocol, bool event_engine, NodeId n,
   builder.nodes(n).seed(seed);
   if (event_engine) builder.engine(EngineKind::kEvent);
   if (protocol == kPushPullRow) {
-    // Epoch restarts keep the event path on the dynamic message-passing
-    // impl (the continuous static config is served by the historical
-    // AsyncAveragingSim fast path, which is not what this sweep tracks).
+    // 30-cycle epoch restarts, as in the cycle-engine rows, so both engines
+    // run the same restart schedule and the baseline rows stay comparable.
     builder.workload(WorkloadSpec::from_distribution(ValueDistribution::kNormal))
         .epoch_length(30);
   } else if (protocol == kPushSumRow) {

@@ -86,17 +86,6 @@ void BM_AvgModelFullCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_AvgModelFullCycle)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_EventEngineScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    EventEngine engine;
-    for (int i = 0; i < 1000; ++i)
-      engine.schedule_at(static_cast<double>(i % 97), [] {});
-    engine.run_all();
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventEngineScheduleRun);
-
 // -------------------------------------------------------------------
 // Scheduler hold model — the calendar queue vs the binary heap it replaced
 // -------------------------------------------------------------------

@@ -106,10 +106,9 @@ struct AggregatorInstance {
 
 /// The flattened execution plan the engines run: instances laid out over
 /// consecutive planes, plus the per-plane combiner vector that the
-/// batched store kernels consume directly. Legacy configurations (enum
-/// combiners, `.slots(...)`) flatten to width-1 instances whose
-/// plane_combiners() vector is byte-for-byte the vector the engines used
-/// before this API existed.
+/// batched store kernels consume directly. Enum combiners (a run without
+/// `.aggregates(...)` is one kAverage) flatten to width-1 instances, one
+/// plane each.
 class AggregatorPlan {
  public:
   AggregatorPlan() = default;

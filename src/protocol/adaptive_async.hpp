@@ -17,10 +17,10 @@
 // AdaptiveAsyncNetwork is a named preset over SimulationBuilder: the actual
 // machinery lives in the event engine's adaptive-epoch mode
 // (`.engine(EngineKind::kEvent).adaptive_epochs(drift)`,
-// src/sim/simulation_event.cpp), where it composes with multi-aggregate
-// slots, message latency, churn schedules and live membership overlays. The
-// class is kept because "the §4 adaptive experiment" is a useful name with a
-// stable, minimal API.
+// src/sim/simulation_event.cpp), where it composes with several
+// .aggregates(...), message latency, churn schedules and live membership
+// overlays. The class is kept because "the §4 adaptive experiment" is a
+// useful name with a stable, minimal API.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,9 @@
-// Discrete-event simulation engine.
+// Building blocks of the discrete-event engine: the pending-event queue and
+// the message latency models.
 //
-// Supports the paper's asynchronous reading of the protocol: each node is
-// autonomous, waking after GETWAITINGTIME (constant Δt or exponentially
-// distributed) and exchanging messages that may take time and may be lost.
-// Determinism: events at equal timestamps fire in scheduling order.
+// The scheduler itself is SimEventEngine (sim/sim_events.hpp), which pops
+// typed records from the CalendarQueue below. Determinism: events at equal
+// timestamps pop in scheduling order.
 //
 // The pending set lives in a CALENDAR QUEUE (time-bucketed FIFO lanes with
 // an overflow tier) instead of a binary heap: schedule and pop are O(1)
@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -246,42 +245,6 @@ private:
   std::size_t size_ = 0;
 };
 
-/// A deterministic discrete-event scheduler.
-class EventEngine {
-public:
-  using Callback = std::function<void()>;
-
-  /// Current simulated time. Starts at 0.
-  [[nodiscard]] SimTime now() const noexcept { return now_; }
-
-  /// Schedules `callback` at absolute time `t` (>= now()).
-  void schedule_at(SimTime t, Callback callback);
-
-  /// Schedules `callback` `delay` time units from now (delay >= 0).
-  void schedule_after(SimTime delay, Callback callback);
-
-  /// Executes the next event; returns false if the queue is empty.
-  bool run_next();
-
-  /// Runs events until simulated time exceeds `t_end` or the queue drains.
-  /// Events scheduled exactly at t_end are executed.
-  void run_until(SimTime t_end);
-
-  /// Runs until the queue is empty. Caller is responsible for termination.
-  void run_all();
-
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
-  [[nodiscard]] std::uint64_t events_processed() const noexcept {
-    return processed_;
-  }
-
-private:
-  CalendarQueue<Callback> queue_;
-  SimTime now_ = 0.0;
-  std::uint64_t next_sequence_ = 0;
-  std::uint64_t processed_ = 0;
-};
-
 /// Message latency models for the asynchronous protocol mode.
 class LatencyModel {
 public:
@@ -329,20 +292,6 @@ public:
 
 private:
   double rate_;
-};
-
-/// Independent per-message Bernoulli loss.
-class LossModel {
-public:
-  explicit LossModel(double loss_probability) : p_(loss_probability) {
-    EPIAGG_EXPECTS(loss_probability >= 0.0 && loss_probability <= 1.0,
-                   "loss probability must be in [0,1]");
-  }
-  [[nodiscard]] bool lost(Rng& rng) const { return p_ > 0.0 && rng.bernoulli(p_); }
-  [[nodiscard]] double probability() const noexcept { return p_; }
-
-private:
-  double p_;
 };
 
 }  // namespace epiagg

@@ -1,24 +1,20 @@
-// Typed POD event records for the message-based simulation impls.
+// Typed POD event records and the scheduler that runs them.
 //
-// The generic EventEngine erases every event behind a heap-allocating
-// `std::function<void()>`; at 10^5+ nodes that is one allocation (plus a
-// captured payload vector) per message. The simulation impls instead
-// schedule fixed-size `SimEventRecord`s on a `SimEventEngine` — a calendar
-// queue of plain structs — and dispatch them through one switch
-// (simulation_event.cpp). Payloads ride inline in the record when they fit
-// (one double plane, push-sum mass halves) or in a recycled arena slot
-// (payload_arena.hpp) when they don't. A `Callback` escape hatch remains
-// for rare control events that genuinely need a closure; its slots are
-// free-listed too.
+// Every message-based simulation impl schedules fixed-size
+// `SimEventRecord`s on a `SimEventEngine` — a calendar queue of plain
+// structs — and dispatches them through one switch (simulation_event.cpp).
+// There is no type erasure and no per-event heap allocation: payloads ride
+// inline in the record when they fit (one double plane, push-sum mass
+// halves) or in a recycled arena slot (payload_arena.hpp) when they don't.
 //
-// Determinism: records pop in exactly the `(time, sequence)` order the old
-// closures did — scheduling sites map 1:1, so sequence numbers, RNG draw
-// order and audit-scope entries are unchanged.
+// Determinism: records pop in ascending `(time, sequence)` order, so events
+// at equal timestamps run in scheduling order and the RNG draw order is a
+// pure function of the seed.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "common/contract.hpp"
 #include "common/types.hpp"
@@ -41,7 +37,6 @@ namespace epiagg {
 ///   kAdoptNotify     a = addressee, gen_a = generation, tag = the newer
 ///                    epoch id (adaptive-epoch epidemic fast-forward)
 ///   kPushSumDeliver  b = addressee, v0 = half sum, v1 = half weight
-///   kControl         slab = index of the stashed Callback
 enum class EvKind : std::uint8_t {
   kWake,
   kMembershipWake,
@@ -51,7 +46,6 @@ enum class EvKind : std::uint8_t {
   kReply,
   kAdoptNotify,
   kPushSumDeliver,
-  kControl,
 };
 
 /// Field order packs the record into 48 bytes, so a queue Entry — `(time,
@@ -74,12 +68,10 @@ static_assert(sizeof(SimEventRecord) == 48,
               "SimEventRecord must keep a CalendarQueue Entry at one cache "
               "line (64 bytes)");
 
-/// A deterministic scheduler of SimEventRecords: same `(time, sequence)`
-/// contract as EventEngine, no type erasure on the hot path.
+/// A deterministic scheduler of SimEventRecords, popped in ascending
+/// `(time, sequence)` order. The clock starts at 0.
 class SimEventEngine {
 public:
-  using Callback = std::function<void()>;
-
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   void schedule_at(SimTime t, const SimEventRecord& record) {
@@ -92,28 +84,9 @@ public:
     schedule_at(now_ + delay, record);
   }
 
-  /// The escape hatch: schedules an arbitrary closure as a kControl record
-  /// (its slot is recycled after the call).
-  void schedule_control(SimTime t, Callback callback) {
-    EPIAGG_EXPECTS(callback != nullptr, "null control callback");
-    std::uint32_t slot;
-    if (!control_free_.empty()) {
-      slot = control_free_.back();
-      control_free_.pop_back();
-      controls_[slot] = std::move(callback);
-    } else {
-      slot = static_cast<std::uint32_t>(controls_.size());
-      controls_.push_back(std::move(callback));
-    }
-    SimEventRecord record;
-    record.kind = EvKind::kControl;
-    record.slab = slot;
-    schedule_at(t, record);
-  }
-
   /// Runs events through `handle` until simulated time exceeds `t_end` or
-  /// the queue drains; events exactly at t_end are executed. kControl
-  /// records are dispatched internally.
+  /// the queue drains; events exactly at t_end are executed. The clock then
+  /// advances to t_end (never backwards).
   template <typename Handler>
   void run_until(SimTime t_end, Handler&& handle) {
     CalendarQueue<SimEventRecord>::Entry entry;
@@ -121,15 +94,7 @@ public:
       EPIAGG_ASSERT(entry.time >= now_, "event queue time went backwards");
       now_ = entry.time;
       ++processed_;
-      if (entry.payload.kind == EvKind::kControl) {
-        const std::uint32_t slot = entry.payload.slab;
-        Callback callback = std::move(controls_[slot]);
-        controls_[slot] = nullptr;
-        control_free_.push_back(slot);
-        callback();
-      } else {
-        handle(entry.payload);
-      }
+      handle(entry.payload);
     }
     now_ = std::max(now_, t_end);
   }
@@ -141,8 +106,6 @@ public:
 
 private:
   CalendarQueue<SimEventRecord> queue_;
-  std::vector<Callback> controls_;
-  std::vector<std::uint32_t> control_free_;
   SimTime now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t processed_ = 0;

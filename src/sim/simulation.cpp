@@ -60,7 +60,6 @@ std::string_view to_string(EngineKind kind) {
 std::string_view to_string(ProtocolVariant variant) {
   switch (variant) {
     case ProtocolVariant::kPushPullAverage: return "push-pull-average";
-    case ProtocolVariant::kMultiAggregate: return "multi-aggregate";
     case ProtocolVariant::kPushSum: return "push-sum";
     case ProtocolVariant::kSizeEstimation: return "size-estimation";
   }
@@ -102,10 +101,12 @@ EpochSummary summarize_participants(const RunningStats& stats,
   summary.population_start = population_start;
   summary.population_end = population_end;
   summary.truth = truth;
-  summary.est_mean = stats.mean();
-  summary.est_min = stats.min();
-  summary.est_max = stats.max();
-  summary.variance = stats.variance();
+  if (stats.count() > 0) {
+    summary.est_mean = stats.mean();
+    summary.est_min = stats.min();
+    summary.est_max = stats.max();
+  }
+  summary.variance = variance_or_zero(stats);
   return summary;
 }
 
@@ -406,7 +407,8 @@ public:
       // mean()/variance() would walk the state three times.
       const RunningStats stats = participant_stats();
       notify_cycle(CycleView{
-          cycle_, population_size(), stats.mean(), stats.variance(),
+          cycle_, population_size(), mean_or_zero(stats),
+          variance_or_zero(stats),
           fixed() ? std::span<const double>(store_.approximations(0))
                   : std::span<const double>()});
     }
@@ -438,10 +440,11 @@ public:
   }
 
   double variance() const override {
-    return fixed() ? SimulationImpl::variance() : participant_stats().variance();
+    return fixed() ? SimulationImpl::variance()
+                   : variance_or_zero(participant_stats());
   }
   double mean() const override {
-    return fixed() ? SimulationImpl::mean() : participant_stats().mean();
+    return fixed() ? SimulationImpl::mean() : mean_or_zero(participant_stats());
   }
 
   std::shared_ptr<const Topology> topology() const override {
@@ -1080,10 +1083,6 @@ SimulationBuilder& SimulationBuilder::epoch_length(std::size_t cycles) {
   epoch_length_set_ = true;
   return *this;
 }
-SimulationBuilder& SimulationBuilder::slots(std::vector<SlotSpec> specs) {
-  slots_ = std::move(specs);
-  return *this;
-}
 SimulationBuilder& SimulationBuilder::aggregates(
     std::vector<AggregatorSpec> specs) {
   aggregates_ = std::move(specs);
@@ -1138,8 +1137,7 @@ SimulationBuilder& SimulationBuilder::entropy(std::shared_ptr<Rng> rng) {
 }
 
 Simulation SimulationBuilder::build() {
-  const bool averaging = protocol_ == ProtocolVariant::kPushPullAverage ||
-                         protocol_ == ProtocolVariant::kMultiAggregate;
+  const bool averaging = protocol_ == ProtocolVariant::kPushPullAverage;
   const bool has_churn = failures_.churn != nullptr;
   const bool has_membership = membership_.kind != MembershipSpec::Kind::kNone;
   const bool live_membership =
@@ -1195,8 +1193,7 @@ Simulation SimulationBuilder::build() {
     EPIAGG_EXPECTS(averaging,
                    "adaptive epochs restart the averaging family only; "
                    "kSizeEstimation and kPushSum keep their own restart / "
-                   "round structure — use kPushPullAverage or "
-                   "kMultiAggregate");
+                   "round structure — use kPushPullAverage");
     EPIAGG_EXPECTS(!waiting_set_ || waiting_ == WaitingTime::kConstant,
                    "adaptive epochs divide each node's local ΔT clock (a "
                    "constant period with bounded drift) into epochs; "
@@ -1248,18 +1245,8 @@ Simulation SimulationBuilder::build() {
 
   // ---- protocol-level conflicts ----
   const bool has_aggregates = !aggregates_.empty();
-  EPIAGG_EXPECTS(!(has_aggregates && !slots_.empty()),
-                 ".aggregates(...) subsumes .slots(...); declare the "
-                 "aggregate list once — each SlotSpec converts via "
-                 "to_aggregator_spec(...)");
   switch (protocol_) {
     case ProtocolVariant::kPushPullAverage:
-      EPIAGG_EXPECTS(slots_.empty(),
-                     "slot declarations belong to "
-                     "ProtocolVariant::kMultiAggregate; switch the protocol "
-                     "or drop .slots(...)");
-      break;
-    case ProtocolVariant::kMultiAggregate:
       break;
     case ProtocolVariant::kPushSum:
       EPIAGG_EXPECTS(!has_aggregates,
@@ -1282,8 +1269,6 @@ Simulation SimulationBuilder::build() {
       EPIAGG_EXPECTS(!activation_set_,
                      "push-sum rounds activate every node once in storage "
                      "order; remove .activation(...)");
-      EPIAGG_EXPECTS(slots_.empty(),
-                     "push-sum estimates a single average; it has no slots");
       break;
     case ProtocolVariant::kSizeEstimation:
       EPIAGG_EXPECTS(!has_aggregates,
@@ -1307,9 +1292,6 @@ Simulation SimulationBuilder::build() {
                      "use a live .membership(...)");
       EPIAGG_EXPECTS(expected_leaders_ > 0.0,
                      "expected leader count must be positive");
-      EPIAGG_EXPECTS(slots_.empty(),
-                     "size estimation has no aggregate slots; remove "
-                     ".slots(...)");
       break;
   }
   if (protocol_ != ProtocolVariant::kSizeEstimation) {
@@ -1320,9 +1302,8 @@ Simulation SimulationBuilder::build() {
   }
 
   // ---- the aggregate plan ----
-  // Validated specs flatten onto consecutive state planes; legacy
-  // configurations (no .aggregates(...)) produce a plan whose
-  // plane_combiners() vector is byte-for-byte the historical one.
+  // Validated specs flatten onto consecutive state planes; without
+  // .aggregates(...) the plan is one width-1 average.
   AggregatorPlan plan;
   if (has_aggregates) {
     for (const AggregatorSpec& spec : aggregates_) {
@@ -1345,12 +1326,6 @@ Simulation SimulationBuilder::build() {
       }
     }
     plan = AggregatorPlan::from_specs(aggregates_);
-  } else if (!slots_.empty()) {
-    std::vector<AggregatorSpec> specs;
-    specs.reserve(slots_.size());
-    for (const SlotSpec& slot : slots_)
-      specs.push_back(to_aggregator_spec(slot));
-    plan = AggregatorPlan::from_specs(specs);
   } else {
     const Combiner average[] = {Combiner::kAverage};
     plan = AggregatorPlan::from_combiners(average);
@@ -1367,8 +1342,7 @@ Simulation SimulationBuilder::build() {
     EPIAGG_EXPECTS(averaging,
                    "time-varying workloads evolve the averaging family's "
                    "attributes each cycle; kPushSum and kSizeEstimation "
-                   "snapshot their inputs once — use kPushPullAverage or "
-                   "kMultiAggregate");
+                   "snapshot their inputs once — use kPushPullAverage");
     EPIAGG_EXPECTS(!workload_.is_explicit(),
                    "a time-varying workload re-samples per-node attributes; "
                    "an explicit value vector cannot evolve — use "
@@ -1448,9 +1422,6 @@ Simulation SimulationBuilder::build() {
     EPIAGG_EXPECTS(adversary_.kind != Kind::kOverlayPoison || live_membership,
                    "overlay poisoning floods LIVE membership views; add a "
                    "live .membership(...) or pick a value-lie adversary");
-    EPIAGG_EXPECTS(protocol_ != ProtocolVariant::kMultiAggregate,
-                   "adversary models rewrite single-aggregate exchanges; "
-                   "kMultiAggregate is not supported — use kPushPullAverage");
     EPIAGG_EXPECTS(!adaptive_epochs_,
                    "adversary models assume the shared epoch grid; remove "
                    ".adaptive_epochs(...) or .adversary(...)");
@@ -1477,10 +1448,8 @@ Simulation SimulationBuilder::build() {
                      "remove .adaptive_epochs(...) or the observer");
     }
   }
-  bool wants_tracking = false;
   for (const auto& observer : observers_) {
     if (!observer->wants_tracking_error()) continue;
-    wants_tracking = true;
     EPIAGG_EXPECTS(averaging,
                    "TrackingErrorObserver reads per-instance aggregator "
                    "estimates; kPushSum and kSizeEstimation have none — use "
@@ -1635,21 +1604,6 @@ Simulation SimulationBuilder::build() {
       return Simulation(detail::make_event_push_sum(
           rng, observers_, std::move(spec), std::move(initial),
           std::move(topology)));
-    }
-    const bool dynamic = has_churn || epoch_length > 0 || adaptive_epochs_ ||
-                         has_adversary || has_mitigation ||
-                         workload_.is_time_varying();
-    if (!dynamic && overlay == nullptr && !has_aggregates && !wants_tracking &&
-        protocol_ == ProtocolVariant::kPushPullAverage) {
-      // The historical static event path: single-slot push-pull over a fixed
-      // topology, RNG stream preserved bit-for-bit for the latency /
-      // waiting-time benches.
-      AsyncGossipConfig config;
-      config.waiting = waiting_;
-      config.latency = latency_;
-      config.loss_probability = failures_.message_loss;
-      return Simulation(detail::make_async_static(
-          rng, observers_, std::move(topology), std::move(initial), config));
     }
     return Simulation(detail::make_event_averaging(
         rng, observers_, std::move(spec), std::move(plan), std::move(initial),

@@ -33,8 +33,6 @@
 #include "common/types.hpp"
 #include "core/pair_selector.hpp"
 #include "graph/topology.hpp"
-#include "protocol/async_gossip.hpp"
-#include "protocol/multi_aggregate.hpp"
 #include "sim/cycle_engine.hpp"
 #include "sim/event_engine.hpp"
 #include "sim/observers.hpp"
@@ -230,13 +228,26 @@ struct WorkloadSpec {
 
 /// Which protocol runs on top of the composed substrate.
 enum class ProtocolVariant {
-  kPushPullAverage,  ///< the AVG kernel of paper Fig. 2 (single slot)
-  kMultiAggregate,   ///< several slots (avg/max/min) on one pair sequence
+  kPushPullAverage,  ///< push–pull exchanges of paper Fig. 1; computes the
+                     ///< .aggregates(...) list (default: one average)
   kPushSum,          ///< Kempe–Dobra–Gehrke push-sum baseline
   kSizeEstimation,   ///< §4: concurrent counting instances + epoch restarts
 };
 
 std::string_view to_string(ProtocolVariant variant);
+
+/// GETWAITINGTIME policies of the event engine (paper §3.3.2).
+enum class WaitingTime {
+  kConstant,     ///< period Δt = 1 with a uniform random initial phase
+  kExponential,  ///< i.i.d. Exponential(mean = 1) waits (the RAND-like regime)
+};
+
+/// Event engine: approximation quality at one integer simulated time.
+struct AsyncSample {
+  SimTime time = 0.0;
+  double variance = 0.0;  ///< empirical variance of x (eq. 3)
+  double mean = 0.0;      ///< mean of x — drifts only if messages are lost
+};
 
 /// One completed (local) epoch at one node under adaptive epochs — the §4
 /// fully asynchronous restart scheme, where every node divides its own
@@ -289,27 +300,38 @@ public:
   /// Nodes active in the current epoch (== population for static networks).
   [[nodiscard]] std::size_t participant_count() const;
 
-  /// Primary-slot approximations x_i, indexed by node id. Precondition: the
-  /// protocol keeps a dense value vector (averaging / multi-aggregate /
-  /// push-sum on the cycle engine).
+  /// Plane-0 approximations x_i (the first aggregate's estimate), indexed
+  /// by node id. Precondition: the protocol keeps a dense value vector —
+  /// averaging or push-sum, on either engine, over a static population.
+  /// Under churn node ids are recycled, so this throws; read variance(),
+  /// mean() or epochs() instead.
   [[nodiscard]] const std::vector<double>& approximations() const;
 
-  /// Approximations of slot `slot` (multi-aggregate).
+  /// Approximations held in state PLANE `plane`, indexed by node id (same
+  /// preconditions as approximations()). Planes are not aggregates: an
+  /// aggregate of width w (2 for AggregatorSpec::sum_count) spans w
+  /// consecutive planes, so the two indices agree only while every
+  /// aggregate before `plane` has width 1.
   [[nodiscard]] const std::vector<double>& slot_approximations(
-      std::size_t slot) const;
+      std::size_t plane) const;
 
-  /// Empirical variance / mean of the primary approximations. For the event
-  /// engine these read the live node states.
+  /// Empirical variance / mean of the plane-0 approximations. For the event
+  /// engine these read the live node states; under churn they read the
+  /// current participants, and a moment with too few participants (none
+  /// for the mean, fewer than two for the variance) reads 0.
   [[nodiscard]] double variance() const;
   [[nodiscard]] double mean() const;
 
-  /// Updates node `id`'s local attribute (primary slot); takes effect at the
-  /// next epoch restart. Precondition: epoch_length > 0 and an averaging
-  /// protocol.
+  /// Updates node `id`'s local attribute for the first aggregate
+  /// (set_slot_value(id, 0, value)); takes effect at the next epoch restart.
+  /// Precondition: epoch_length > 0 and the averaging protocol.
   void set_value(NodeId id, double value);
 
-  /// Multi-slot variant of set_value.
-  void set_slot_value(NodeId id, std::size_t slot, double value);
+  /// Updates node `id`'s attribute for AGGREGATE `instance` only — the
+  /// index into the .aggregates(...) list, not a plane index (see
+  /// slot_approximations). Takes effect at the next epoch restart, with the
+  /// preconditions of set_value.
+  void set_slot_value(NodeId id, std::size_t instance, double value);
 
   /// All completed epoch summaries, oldest first.
   [[nodiscard]] const std::vector<EpochSummary>& epochs() const;
@@ -391,18 +413,12 @@ public:
   SimulationBuilder& epoch_length(std::size_t cycles);
 
   /// The aggregates the run computes, as registry-backed AggregatorSpecs
-  /// (see aggregate/aggregator.hpp). One spec per instance; instances share
-  /// the pair sequence the way a real node piggybacks all its aggregation
-  /// state in one message. Subsumes the historical combiner + .slots(...)
-  /// surface: works with kPushPullAverage (any number of instances) and
-  /// kMultiAggregate. Unset means one plain average.
+  /// (see aggregate/aggregator.hpp), on kPushPullAverage. One spec per
+  /// instance; instances share the pair sequence the way a real node
+  /// piggybacks all its aggregation state in one message, e.g.
+  /// `.aggregates({AggregatorSpec::average("avg"),
+  /// AggregatorSpec::maximum("max")})`. Unset means one plain average.
   SimulationBuilder& aggregates(std::vector<AggregatorSpec> specs);
-
-  /// Multi-aggregate slot declarations (kMultiAggregate only).
-  /// DEPRECATED: thin shim over .aggregates(...) — each SlotSpec becomes
-  /// the width-1 registry instance of its combiner (bit-identical streams).
-  /// Prefer .aggregates({AggregatorSpec::...}).
-  SimulationBuilder& slots(std::vector<SlotSpec> specs);
 
   /// Size estimation: target number of concurrent counting instances.
   SimulationBuilder& expected_leaders(double expected);
@@ -471,7 +487,6 @@ private:
   ProtocolVariant protocol_ = ProtocolVariant::kPushPullAverage;
   std::size_t epoch_length_ = 0;
   bool epoch_length_set_ = false;
-  std::vector<SlotSpec> slots_;
   std::vector<AggregatorSpec> aggregates_;
   double expected_leaders_ = 4.0;
   bool expected_leaders_set_ = false;

@@ -26,15 +26,15 @@
 //
 // Three impls cover the protocol family:
 //
-//  * EventAveragingImpl — push–pull averaging and multi-aggregate, over the
+//  * EventAveragingImpl — push–pull averaging of any aggregate plan, over the
 //    complete overlay, a fixed topology, or a LIVE membership overlay whose
 //    per-node gossip wake-ups interleave with the aggregation wake-ups in
-//    simulated time. Epochs restart either on the global simulated-time
-//    grid (multiples of the epoch length, churn fired at integer times) or
-//    adaptively — each node runs a local, possibly drifting ΔT clock and
-//    adopts newer epoch ids epidemically from message tags (the fully
-//    asynchronous §4 scheme previously implemented by the bespoke
-//    AdaptiveAsyncNetwork loop).
+//    simulated time. A run without epochs gossips continuously; otherwise
+//    epochs restart either on the global simulated-time grid (multiples of
+//    the epoch length, churn fired at integer times) or adaptively — each
+//    node runs a local, possibly drifting ΔT clock and adopts newer epoch
+//    ids epidemically from message tags (the fully asynchronous §4 scheme
+//    previously implemented by the bespoke AdaptiveAsyncNetwork loop).
 //  * EventCountingImpl — §4 size estimation: counting instances spread by
 //    push/reply messages between autonomous participants.
 //  * EventPushSumImpl — the Kempe–Dobra–Gehrke baseline: push-only messages
@@ -58,52 +58,6 @@
 namespace epiagg {
 namespace detail {
 namespace {
-
-// ===================================================================
-// AsyncImpl — the historical static event path (AsyncAveragingSim)
-// ===================================================================
-
-class AsyncImpl final : public SimulationImpl {
-public:
-  AsyncImpl(std::shared_ptr<Rng> rng,
-            std::vector<std::shared_ptr<Observer>> observers,
-            std::shared_ptr<const Topology> topology,
-            std::vector<double> initial, AsyncGossipConfig config)
-      : SimulationImpl(std::move(rng), std::move(observers), 0),
-        population_(initial.size()),
-        topology_(topology),
-        sim_(std::move(initial), std::move(topology), config, rng_->next_u64()) {}
-
-  void run_time(SimTime until) override {
-    sim_.run(until);
-    // Forward the newly produced integer-time samples through the pipeline.
-    const auto& all = sim_.samples();
-    for (; forwarded_ < all.size(); ++forwarded_) {
-      const AsyncSample& sample = all[forwarded_];
-      cycle_ = static_cast<std::size_t>(sample.time);
-      notify_cycle(CycleView{cycle_, population_, sample.mean, sample.variance,
-                             {}});
-    }
-  }
-
-  std::size_t population_size() const override { return population_; }
-  double variance() const override { return sim_.current_variance(); }
-  double mean() const override { return sim_.current_mean(); }
-
-  const std::vector<AsyncSample>& samples() const override {
-    return sim_.samples();
-  }
-  std::uint64_t messages_sent() const override { return sim_.messages_sent(); }
-  std::uint64_t messages_lost() const override { return sim_.messages_lost(); }
-
-  std::shared_ptr<const Topology> topology() const override { return topology_; }
-
-private:
-  std::size_t population_;
-  std::shared_ptr<const Topology> topology_;
-  AsyncAveragingSim sim_;
-  std::size_t forwarded_ = 0;
-};
 
 // ===================================================================
 // EventMessagingImpl — shared machinery of the message-based impls
@@ -322,7 +276,7 @@ private:
 };
 
 // ===================================================================
-// EventAveragingImpl — push–pull / multi-aggregate, all epoch modes
+// EventAveragingImpl — push–pull averaging, all epoch modes
 // ===================================================================
 
 class EventAveragingImpl final : public EventMessagingImpl {
@@ -393,8 +347,10 @@ public:
     start_clock();
   }
 
-  double variance() const override { return participant_stats().variance(); }
-  double mean() const override { return participant_stats().mean(); }
+  double variance() const override {
+    return variance_or_zero(participant_stats());
+  }
+  double mean() const override { return mean_or_zero(participant_stats()); }
 
   const std::vector<double>& approximations() const override {
     return slot_approximations(0);
@@ -488,11 +444,11 @@ protected:
     // the epoch boundary and the churn that follow must see them applied.
     flush_batch();
     const RunningStats stats = participant_stats();
-    samples_.emplace_back(static_cast<SimTime>(t), stats.variance(), stats.mean());
-    if (observed()) {
-      notify_cycle(CycleView{t, alive_.size(), stats.mean(), stats.variance(),
-                             {}});
-    }
+    const double est_mean = mean_or_zero(stats);
+    const double est_variance = variance_or_zero(stats);
+    samples_.emplace_back(static_cast<SimTime>(t), est_variance, est_mean);
+    if (observed())
+      notify_cycle(CycleView{t, alive_.size(), est_mean, est_variance, {}});
     if (want_impact_) {
       AttackImpact impact = spec_.adversary->measure_impact(
           t, participants_.members(),
@@ -1365,15 +1321,6 @@ std::unique_ptr<SimulationImpl> make_event_push_sum(
   return std::make_unique<EventPushSumImpl>(std::move(rng), std::move(observers),
                                             std::move(spec), std::move(initial),
                                             std::move(topology));
-}
-
-std::unique_ptr<SimulationImpl> make_async_static(
-    std::shared_ptr<Rng> rng, std::vector<std::shared_ptr<Observer>> observers,
-    std::shared_ptr<const Topology> topology, std::vector<double> initial,
-    AsyncGossipConfig config) {
-  return std::make_unique<AsyncImpl>(std::move(rng), std::move(observers),
-                                     std::move(topology), std::move(initial),
-                                     std::move(config));
 }
 
 }  // namespace detail

@@ -212,8 +212,19 @@ protected:
 /// Exact answer a combiner converges to over a snapshot.
 double exact_answer(Combiner combiner, std::span<const double> xs);
 
+/// Participant moments under the rule summarize_counting_epoch applies —
+/// "0 if none". Churn can crash every participant of an epoch while the
+/// joiners wait for the next restart, so a moment that needs more samples
+/// than remain (one for the mean, two for the variance) reads 0.
+inline double mean_or_zero(const RunningStats& stats) {
+  return stats.count() > 0 ? stats.mean() : 0.0;
+}
+inline double variance_or_zero(const RunningStats& stats) {
+  return stats.count() > 1 ? stats.variance() : 0.0;
+}
+
 /// Fills the averaging-style epoch summary from accumulated approximation
-/// statistics.
+/// statistics (moments of an empty or single-node set read 0).
 EpochSummary summarize_participants(const RunningStats& stats,
                                     std::size_t end_cycle, EpochId epoch,
                                     std::size_t population_start,
@@ -338,7 +349,7 @@ struct EventSpec {
   std::shared_ptr<AdversaryRuntime> adversary;
 };
 
-/// The averaging family (push–pull / multi-aggregate) on the event engine.
+/// Push–pull averaging over any aggregate plan on the event engine.
 /// Exactly one of the partner sources is used: a live `overlay`, a fixed
 /// `topology`, or — when both are null — uniform sampling from the live
 /// participant set (the complete, peer-sampled overlay).
@@ -361,14 +372,6 @@ std::unique_ptr<SimulationImpl> make_event_push_sum(
     std::shared_ptr<Rng> rng, std::vector<std::shared_ptr<Observer>> observers,
     EventSpec spec, std::vector<double> initial,
     std::shared_ptr<const Topology> topology);
-
-/// The historical static event path (AsyncAveragingSim): single-slot
-/// push–pull over a fixed topology, bit-compatible with the pre-existing
-/// latency/waiting-time benches.
-std::unique_ptr<SimulationImpl> make_async_static(
-    std::shared_ptr<Rng> rng, std::vector<std::shared_ptr<Observer>> observers,
-    std::shared_ptr<const Topology> topology, std::vector<double> initial,
-    AsyncGossipConfig config);
 
 }  // namespace detail
 }  // namespace epiagg

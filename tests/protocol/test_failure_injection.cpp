@@ -7,8 +7,8 @@
 #include <memory>
 
 #include "common/stats.hpp"
-#include "protocol/async_gossip.hpp"
 #include "protocol/network_runner.hpp"
+#include "sim/simulation.hpp"
 #include "workload/values.hpp"
 
 namespace epiagg {
@@ -82,28 +82,36 @@ TEST(FailureInjection, ReplyLossesLeakMassPushLossesDoNot) {
   // equal probability, so drift comes from the reply path. We verify that
   // the drift magnitude is consistent with ~half the losses being harmless.
   Rng rng(3);
-  auto values = generate_values(ValueDistribution::kPeak, 400, rng);
-  AsyncGossipConfig config;
-  config.loss_probability = 0.25;
-  AsyncAveragingSim sim(values, std::make_shared<CompleteTopology>(400), config, 4);
-  const double before = sim.current_mean();
-  sim.run(12.0);
+  Simulation sim =
+      SimulationBuilder()
+          .engine(EngineKind::kEvent)
+          .workload(WorkloadSpec::from_values(
+              generate_values(ValueDistribution::kPeak, 400, rng)))
+          .failures(FailureSpec::message_loss_only(0.25))
+          .seed(4)
+          .build();
+  const double before = sim.mean();
+  sim.run_time(12.0);
   EXPECT_GT(sim.messages_lost(), 0u);
   // Mean moved (reply losses) but stayed within the convex hull of values.
-  EXPECT_NE(sim.current_mean(), before);
-  EXPECT_GE(sim.current_mean(), -1e-9);
-  EXPECT_LE(sim.current_mean(), static_cast<double>(400));
+  EXPECT_NE(sim.mean(), before);
+  EXPECT_GE(sim.mean(), -1e-9);
+  EXPECT_LE(sim.mean(), static_cast<double>(400));
 }
 
 TEST(FailureInjection, VarianceStillContractsUnderHeavyLoss) {
   // Even at 40% loss the variance contracts — slower, but inexorably (the
   // paper's graceful-degradation story).
   Rng rng(5);
-  AsyncGossipConfig config;
-  config.loss_probability = 0.4;
-  AsyncAveragingSim sim(generate_values(ValueDistribution::kNormal, 1000, rng),
-                        std::make_shared<CompleteTopology>(1000), config, 6);
-  sim.run(20.0);
+  Simulation sim =
+      SimulationBuilder()
+          .engine(EngineKind::kEvent)
+          .workload(WorkloadSpec::from_values(
+              generate_values(ValueDistribution::kNormal, 1000, rng)))
+          .failures(FailureSpec::message_loss_only(0.4))
+          .seed(6)
+          .build();
+  sim.run_time(20.0);
   const auto& samples = sim.samples();
   EXPECT_LT(samples.back().variance, samples.front().variance * 0.01);
   // And the per-cycle factor is strictly worse than lossless theory.
@@ -143,13 +151,17 @@ TEST(FailureInjection, LatencyPlusLossCombined) {
   // exponential latencies, 10% loss. Convergence must still be exponential
   // in wall-clock time.
   Rng rng(8);
-  AsyncGossipConfig config;
-  config.waiting = WaitingTime::kExponential;
-  config.latency = std::make_shared<ExponentialLatency>(0.1);
-  config.loss_probability = 0.1;
-  AsyncAveragingSim sim(generate_values(ValueDistribution::kUniform, 800, rng),
-                        std::make_shared<CompleteTopology>(800), config, 9);
-  sim.run(15.0);
+  Simulation sim =
+      SimulationBuilder()
+          .engine(EngineKind::kEvent)
+          .waiting(WaitingTime::kExponential)
+          .latency(std::make_shared<ExponentialLatency>(0.1))
+          .workload(WorkloadSpec::from_values(
+              generate_values(ValueDistribution::kUniform, 800, rng)))
+          .failures(FailureSpec::message_loss_only(0.1))
+          .seed(9)
+          .build();
+  sim.run_time(15.0);
   EXPECT_LT(sim.samples().back().variance, sim.samples().front().variance * 1e-3);
 }
 

@@ -120,9 +120,8 @@ TEST(EventAsync, MultiAggregateUnderChurnReportsAccurateEpochs) {
   Simulation sim = SimulationBuilder()
                        .nodes(250)
                        .engine(EngineKind::kEvent)
-                       .protocol(ProtocolVariant::kMultiAggregate)
-                       .slots({{"avg", Combiner::kAverage},
-                               {"max", Combiner::kMax}})
+                       .aggregates({AggregatorSpec::average("avg"),
+                                    AggregatorSpec::maximum("max")})
                        .epoch_length(25)
                        .failures(FailureSpec::with_churn(
                            std::make_shared<ConstantFluctuation>(2)))

@@ -1,4 +1,6 @@
-#include "sim/event_engine.hpp"
+// The event-engine scheduler (SimEventEngine over the calendar queue) and
+// the message latency models.
+#include "sim/sim_events.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,94 +9,95 @@
 namespace epiagg {
 namespace {
 
-TEST(EventEngine, StartsAtTimeZero) {
-  EventEngine engine;
+/// A wake record tagged with `id`, so handlers can tell events apart.
+SimEventRecord record(NodeId id) {
+  SimEventRecord event;
+  event.kind = EvKind::kWake;
+  event.a = id;
+  return event;
+}
+
+/// Runs the engine to `t_end`, returning the ids of the popped records.
+std::vector<NodeId> drain(SimEventEngine& engine, SimTime t_end) {
+  std::vector<NodeId> order;
+  engine.run_until(t_end,
+                   [&](const SimEventRecord& event) { order.push_back(event.a); });
+  return order;
+}
+
+TEST(SimEventEngine, StartsAtTimeZero) {
+  SimEventEngine engine;
   EXPECT_DOUBLE_EQ(engine.now(), 0.0);
   EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_EQ(engine.events_processed(), 0u);
 }
 
-TEST(EventEngine, ExecutesInTimeOrder) {
-  EventEngine engine;
-  std::vector<int> order;
-  engine.schedule_at(3.0, [&] { order.push_back(3); });
-  engine.schedule_at(1.0, [&] { order.push_back(1); });
-  engine.schedule_at(2.0, [&] { order.push_back(2); });
-  engine.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(engine.now(), 3.0);
+TEST(SimEventEngine, ExecutesInTimeOrder) {
+  SimEventEngine engine;
+  engine.schedule_at(3.0, record(3));
+  engine.schedule_at(1.0, record(1));
+  engine.schedule_at(2.0, record(2));
+  EXPECT_EQ(drain(engine, 10.0), (std::vector<NodeId>{1, 2, 3}));
+  EXPECT_EQ(engine.events_processed(), 3u);
 }
 
-TEST(EventEngine, EqualTimesAreFifo) {
-  EventEngine engine;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) engine.schedule_at(1.0, [&order, i] { order.push_back(i); });
-  engine.run_all();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+TEST(SimEventEngine, EqualTimesAreFifo) {
+  SimEventEngine engine;
+  for (NodeId i = 0; i < 10; ++i) engine.schedule_at(1.0, record(i));
+  EXPECT_EQ(drain(engine, 1.0),
+            (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-TEST(EventEngine, ScheduleAfterUsesCurrentTime) {
-  EventEngine engine;
+TEST(SimEventEngine, ScheduleAfterIsRelativeToNow) {
+  SimEventEngine engine;
+  engine.schedule_at(5.0, record(0));
   double fired_at = -1.0;
-  engine.schedule_at(5.0, [&] {
-    engine.schedule_after(2.5, [&] { fired_at = engine.now(); });
+  engine.run_until(20.0, [&](const SimEventRecord& event) {
+    if (event.a == 0) {
+      engine.schedule_after(2.5, record(1));
+    } else {
+      fired_at = engine.now();
+    }
   });
-  engine.run_all();
   EXPECT_DOUBLE_EQ(fired_at, 7.5);
 }
 
-TEST(EventEngine, RunUntilStopsAtBoundary) {
-  EventEngine engine;
-  int fired = 0;
-  engine.schedule_at(1.0, [&] { ++fired; });
-  engine.schedule_at(2.0, [&] { ++fired; });
-  engine.schedule_at(3.0, [&] { ++fired; });
-  engine.run_until(2.0);  // inclusive boundary
-  EXPECT_EQ(fired, 2);
+TEST(SimEventEngine, RunUntilIncludesTheBoundaryAndAdvancesTheClock) {
+  SimEventEngine engine;
+  engine.schedule_at(1.0, record(1));
+  engine.schedule_at(2.0, record(2));
+  engine.schedule_at(3.0, record(3));
+  EXPECT_EQ(drain(engine, 2.0), (std::vector<NodeId>{1, 2}));  // inclusive
   EXPECT_DOUBLE_EQ(engine.now(), 2.0);
   EXPECT_EQ(engine.pending(), 1u);
-  engine.run_until(10.0);
-  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(drain(engine, 10.0), (std::vector<NodeId>{3}));
   EXPECT_DOUBLE_EQ(engine.now(), 10.0);  // clock advances to the horizon
+  EXPECT_TRUE(drain(engine, 12.5).empty());
+  EXPECT_DOUBLE_EQ(engine.now(), 12.5);  // even with nothing to run
 }
 
-TEST(EventEngine, EventsCanChainIndefinitely) {
-  EventEngine engine;
+TEST(SimEventEngine, EventsCanChainIndefinitely) {
+  SimEventEngine engine;
+  engine.schedule_at(0.0, record(0));
   int ticks = 0;
-  std::function<void()> tick = [&] {
+  engine.run_until(100.0, [&](const SimEventRecord& event) {
     ++ticks;
-    engine.schedule_after(1.0, tick);
-  };
-  engine.schedule_at(0.0, tick);
-  engine.run_until(100.0);
+    engine.schedule_after(1.0, event);
+  });
   EXPECT_EQ(ticks, 101);  // t = 0..100 inclusive
+  EXPECT_EQ(engine.pending(), 1u);
 }
 
-TEST(EventEngine, RejectsPastScheduling) {
-  EventEngine engine;
-  engine.schedule_at(5.0, [] {});
-  engine.run_all();
-  EXPECT_THROW(engine.schedule_at(1.0, [] {}), ContractViolation);
-  EXPECT_THROW(engine.schedule_after(-1.0, [] {}), ContractViolation);
-}
-
-TEST(EventEngine, RejectsNullCallback) {
-  EventEngine engine;
-  EXPECT_THROW(engine.schedule_at(1.0, nullptr), ContractViolation);
-}
-
-TEST(EventEngine, CountsProcessedEvents) {
-  EventEngine engine;
-  for (int i = 0; i < 7; ++i) engine.schedule_at(static_cast<double>(i), [] {});
-  engine.run_all();
-  EXPECT_EQ(engine.events_processed(), 7u);
-}
-
-TEST(EventEngine, RunNextReturnsFalseWhenDrained) {
-  EventEngine engine;
-  EXPECT_FALSE(engine.run_next());
-  engine.schedule_at(1.0, [] {});
-  EXPECT_TRUE(engine.run_next());
-  EXPECT_FALSE(engine.run_next());
+TEST(SimEventEngine, RejectsPastAndNegativeSchedules) {
+  SimEventEngine engine;
+  EXPECT_THROW(engine.schedule_at(-1.0, record(0)), ContractViolation);
+  EXPECT_THROW(engine.schedule_after(-1.0, record(0)), ContractViolation);
+  engine.schedule_at(5.0, record(0));
+  drain(engine, 5.0);
+  EXPECT_THROW(engine.schedule_at(1.0, record(0)), ContractViolation);
+  EXPECT_THROW(engine.schedule_after(-0.5, record(0)), ContractViolation);
+  engine.schedule_at(5.0, record(1));  // "now" itself is not the past
+  EXPECT_EQ(drain(engine, 5.0), (std::vector<NodeId>{1}));
 }
 
 TEST(LatencyModels, ConstantAndBounds) {
@@ -125,22 +128,6 @@ TEST(LatencyModels, ExponentialMean) {
   for (int i = 0; i < kDraws; ++i) sum += latency.sample(rng);
   EXPECT_NEAR(sum / kDraws, 0.2, 0.005);
   EXPECT_THROW(ExponentialLatency(0.0), ContractViolation);
-}
-
-TEST(LossModel, FrequencyAndEdgeCases) {
-  Rng rng(4);
-  LossModel loss(0.25);
-  int lost = 0;
-  constexpr int kDraws = 100000;
-  for (int i = 0; i < kDraws; ++i)
-    if (loss.lost(rng)) ++lost;
-  EXPECT_NEAR(static_cast<double>(lost) / kDraws, 0.25, 0.01);
-
-  LossModel none(0.0);
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(none.lost(rng));
-  LossModel all(1.0);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(all.lost(rng));
-  EXPECT_THROW(LossModel(1.5), ContractViolation);
 }
 
 }  // namespace

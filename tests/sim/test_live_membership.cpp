@@ -174,8 +174,8 @@ TEST(LiveMembership, MultiAggregateRidesTheLiveOverlay) {
   Simulation sim =
       SimulationBuilder()
           .nodes(300)
-          .protocol(ProtocolVariant::kMultiAggregate)
-          .slots({{"avg", Combiner::kAverage}, {"max", Combiner::kMax}})
+          .aggregates({AggregatorSpec::average("avg"),
+                       AggregatorSpec::maximum("max")})
           .membership(MembershipSpec::cyclon(20, 8, 10))
           .failures(FailureSpec::with_churn(
               std::make_shared<ConstantFluctuation>(2)))

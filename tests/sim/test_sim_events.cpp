@@ -1,6 +1,6 @@
 // The typed-event machinery behind the message-based impls: the payload
 // arenas (sim/payload_arena.hpp) that keep in-flight messages heap-free in
-// the steady state, and the SimEventEngine's kControl escape hatch. Pins
+// the steady state, and their recycling through SimEventEngine pops. Pins
 // the recycling contracts a use-after-release or stale-index bug would
 // break — these tests run under ASan+UBSan in CI, where such a bug turns
 // into a hard failure instead of silent corruption.
@@ -66,31 +66,6 @@ TEST(ObjectArena, ReleasedObjectsKeepTheirBuffers) {
   EXPECT_EQ(arena.size(), 1u);
 }
 
-TEST(SimEventEngine, ControlEventsInterleaveWithTypedRecords) {
-  // The kControl escape hatch schedules closures THROUGH the typed queue,
-  // so controls and records execute in one global (time, sequence) order —
-  // and control slots are free-listed, so repeated controls do not grow
-  // the stash.
-  SimEventEngine engine;
-  std::vector<int> order;
-  SimEventRecord record;
-  record.kind = EvKind::kWake;
-  record.a = 0;
-  engine.schedule_at(1.0, record);       // seq 0 -> tag 10
-  engine.schedule_control(1.0, [&] { order.push_back(20); });  // seq 1
-  engine.schedule_at(0.5, record);       // seq 2, earlier time -> tag 30
-  engine.schedule_control(2.0, [&] { order.push_back(40); });  // seq 3
-  int wakes = 0;
-  engine.run_until(3.0, [&](SimEventRecord& event) {
-    ASSERT_EQ(event.kind, EvKind::kWake);
-    order.push_back(wakes == 0 ? 30 : 10);  // 0.5 pops before 1.0
-    ++wakes;
-  });
-  EXPECT_EQ(order, (std::vector<int>{30, 10, 20, 40}));
-  EXPECT_EQ(engine.events_processed(), 4u);
-  EXPECT_EQ(engine.pending(), 0u);
-}
-
 TEST(SimEventEngine, StalePopsStillRecycleTheirArenaSlots) {
   // The impls release a record's payload slot when the record POPS — before
   // the generation/epoch staleness checks decide whether to deliver it. A
@@ -129,10 +104,9 @@ TEST(SimEvents, OrphanedInFlightTrafficRecyclesDeterministically) {
         SimulationBuilder()
             .nodes(300)
             .engine(EngineKind::kEvent)
-            .protocol(ProtocolVariant::kMultiAggregate)
-            .slots({{"avg", Combiner::kAverage},
-                    {"max", Combiner::kMax},
-                    {"min", Combiner::kMin}})  // 3 planes: slab payloads
+            .aggregates({AggregatorSpec::average("avg"),
+                         AggregatorSpec::maximum("max"),
+                         AggregatorSpec::minimum("min")})  // 3 planes: slabs
             .epoch_length(20)
             .failures(FailureSpec::with_churn(
                 std::make_shared<ConstantFluctuation>(4)))

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "workload/values.hpp"
 
@@ -82,15 +86,14 @@ TEST(SimulationBuilder, EventEngineStillRejectsSynchronousVocabulary) {
 }
 
 TEST(SimulationBuilder, EventEngineRunsFormerlyCycleOnlyProtocols) {
-  // The lifted conflicts: multi-aggregate, push-sum and live membership
+  // The lifted conflicts: several aggregates, push-sum and live membership
   // overlays now execute as real message-passing on the event engine.
   Simulation multi = SimulationBuilder()
                          .nodes(200)
                          .engine(EngineKind::kEvent)
-                         .protocol(ProtocolVariant::kMultiAggregate)
-                         .slots({{"avg", Combiner::kAverage},
-                                 {"max", Combiner::kMax},
-                                 {"min", Combiner::kMin}})
+                         .aggregates({AggregatorSpec::average("avg"),
+                                      AggregatorSpec::maximum("max"),
+                                      AggregatorSpec::minimum("min")})
                          .epoch_length(25)
                          .seed(5)
                          .build();
@@ -361,12 +364,6 @@ TEST(SimulationBuilder, PushSumRejectsPairStrategiesAndEpochs) {
                        "no epoch restart");
 }
 
-TEST(SimulationBuilder, SlotsBelongToMultiAggregate) {
-  expect_build_failure(SimulationBuilder().nodes(100).slots(
-                           {{"avg", Combiner::kAverage}}),
-                       "kMultiAggregate");
-}
-
 TEST(SimulationBuilder, ChurnAveragingNeedsDistributionWorkload) {
   expect_build_failure(
       SimulationBuilder()
@@ -402,7 +399,8 @@ TEST(SimulationBuilder, RuntimeMisuseOfTheWrongDriverThrows) {
                              .seed(4)
                              .build();
   EXPECT_THROW(event_sim.run_cycle(), ContractViolation);
-  EXPECT_THROW(event_sim.approximations(), ContractViolation);
+  // A static event run exposes its planes like the cycle engine does.
+  EXPECT_EQ(event_sim.approximations().size(), 50u);
 }
 
 TEST(SimulationBuilder, ChurnRunsReadMomentsFromTheParticipants) {
@@ -439,14 +437,73 @@ TEST(SimulationBuilder, ChurnRunsReadMomentsFromTheParticipants) {
   }
 }
 
+TEST(SimulationBuilder, HeavyChurnRunsCompleteWithFiniteSummaries) {
+  // Churn can crash every participant of an epoch while the joiners wait for
+  // the next restart. A moment that needs more participants than remain
+  // (one for the mean, two for the variance) then reads 0 — in the epoch
+  // summary, the per-cycle reports and mean()/variance() — instead of
+  // throwing mid-run, on both engines and with every per-cycle reporter.
+  enum class Extra { kNone, kValueLie, kTracking, kOverlay };
+  const std::pair<std::size_t, std::size_t> sizes[] = {{20, 2}, {50, 5}};
+  for (const bool event : {false, true}) {
+    for (const auto& [n, swaps] : sizes) {
+      for (const Extra extra : {Extra::kNone, Extra::kValueLie,
+                                Extra::kTracking, Extra::kOverlay}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (event ? "event" : "cycle") << " N=" << n
+                     << " extra=" << static_cast<int>(extra));
+        SimulationBuilder builder;
+        builder.nodes(n)
+            .failures(FailureSpec::with_churn(
+                std::make_shared<ConstantFluctuation>(swaps)))
+            .seed(3);
+        if (event) builder.engine(EngineKind::kEvent);
+        switch (extra) {
+          case Extra::kNone:
+            break;
+          case Extra::kValueLie:
+            builder.adversary(AdversarySpec::constant_lie(0.1, 5.0))
+                .observe(std::make_shared<AttackImpactObserver>());
+            break;
+          case Extra::kTracking:
+            builder
+                .aggregates({AggregatorSpec::average("avg"),
+                             AggregatorSpec::maximum("max")})
+                .observe(std::make_shared<TrackingErrorObserver>());
+            break;
+          case Extra::kOverlay:
+            builder.membership(MembershipSpec::newscast(8, 10));
+            break;
+        }
+        Simulation sim = builder.build();
+        if (event) {
+          sim.run_time(120.0);
+        } else {
+          sim.run_cycles(120);
+        }
+        ASSERT_EQ(sim.epochs().size(), 4u);
+        for (const EpochSummary& summary : sim.epochs()) {
+          EXPECT_TRUE(std::isfinite(summary.truth));
+          EXPECT_TRUE(std::isfinite(summary.est_mean));
+          EXPECT_TRUE(std::isfinite(summary.est_min));
+          EXPECT_TRUE(std::isfinite(summary.est_max));
+          EXPECT_TRUE(std::isfinite(summary.variance));
+          EXPECT_GE(summary.variance, 0.0);
+        }
+        EXPECT_TRUE(std::isfinite(sim.mean()));
+        EXPECT_TRUE(std::isfinite(sim.variance()));
+      }
+    }
+  }
+}
+
 TEST(SimulationBuilder, ProtocolVariantsProduceWorkingSimulations) {
   // One happy-path spin of every variant, exercising the orthogonal axes.
   Simulation multi = SimulationBuilder()
                          .nodes(200)
-                         .protocol(ProtocolVariant::kMultiAggregate)
-                         .slots({{"avg", Combiner::kAverage},
-                                 {"max", Combiner::kMax},
-                                 {"min", Combiner::kMin}})
+                         .aggregates({AggregatorSpec::average("avg"),
+                                      AggregatorSpec::maximum("max"),
+                                      AggregatorSpec::minimum("min")})
                          .epoch_length(25)
                          .seed(5)
                          .build();
@@ -495,16 +552,7 @@ TEST(SimulationBuilder, ProtocolVariantsProduceWorkingSimulations) {
   EXPECT_NEAR(churn_summary.est_mean, churn_summary.truth, 0.2);
 }
 
-TEST(SimulationBuilder, AggregatesSubsumeSlotsAndCombiners) {
-  // The new declarative list and the deprecated SlotSpec shim cannot both
-  // describe the aggregate set.
-  expect_build_failure(SimulationBuilder()
-                           .nodes(100)
-                           .protocol(ProtocolVariant::kMultiAggregate)
-                           .aggregates({AggregatorSpec::average("avg")})
-                           .slots({{"avg", Combiner::kAverage}}),
-                       ".aggregates(...) subsumes .slots(...)");
-  // Happy path: aggregates on the default protocol, no .slots(...) needed.
+TEST(SimulationBuilder, AggregatesRunOnTheDefaultProtocol) {
   Simulation sim = SimulationBuilder()
                        .nodes(100)
                        .aggregates({AggregatorSpec::average("avg"),
@@ -514,6 +562,76 @@ TEST(SimulationBuilder, AggregatesSubsumeSlotsAndCombiners) {
   sim.run_cycles(15);
   EXPECT_EQ(sim.slot_approximations(1).size(), 100u);
   EXPECT_LT(sim.variance(), 1e-6);
+}
+
+/// Advances `sim` to just before the epoch restart at time `t`: through
+/// cycle t on the cycle engine, and to t - 1e-6 on the event engine, whose
+/// tick at t re-snapshots the planes.
+void run_to_restart(Simulation& sim, bool event, std::size_t t) {
+  if (event) {
+    sim.run_time(static_cast<SimTime>(t) - 1e-6);
+  } else {
+    sim.run_cycles(t - sim.cycle());
+  }
+}
+
+TEST(SimulationBuilder, ExtremesAreExactAndSlotUpdatesWaitForTheRestart) {
+  Rng rng(21);
+  const std::vector<double> values =
+      generate_values(ValueDistribution::kUniform, 200, rng);
+  const double hi = *std::max_element(values.begin(), values.end());
+  const double lo = *std::min_element(values.begin(), values.end());
+  for (const bool event : {false, true}) {
+    SCOPED_TRACE(event ? "event engine" : "cycle engine");
+    auto builder = [&] {
+      SimulationBuilder chain;
+      chain.workload(WorkloadSpec::from_values(values)).seed(22);
+      if (event) chain.engine(EngineKind::kEvent);
+      return chain;
+    };
+    Simulation sim = builder()
+                         .aggregates({AggregatorSpec::average("avg"),
+                                      AggregatorSpec::maximum("max"),
+                                      AggregatorSpec::minimum("min")})
+                         .epoch_length(30)
+                         .build();
+    // One epoch spreads the exact extremes to every node.
+    run_to_restart(sim, event, 30);
+    for (const double x : sim.slot_approximations(1)) EXPECT_EQ(x, hi);
+    for (const double x : sim.slot_approximations(2)) EXPECT_EQ(x, lo);
+
+    // A mid-epoch update waits for the next restart (at 60), then spreads
+    // through the epoch that restart begins.
+    run_to_restart(sim, event, 40);
+    sim.set_slot_value(7, 1, 100.0);
+    run_to_restart(sim, event, 60);
+    for (const double x : sim.slot_approximations(1)) EXPECT_EQ(x, hi);
+    run_to_restart(sim, event, 90);
+    for (const double x : sim.slot_approximations(1)) EXPECT_EQ(x, 100.0);
+    for (const double x : sim.slot_approximations(2)) EXPECT_EQ(x, lo);
+
+    EXPECT_THROW(sim.set_slot_value(7, 3, 1.0), ContractViolation);
+    EXPECT_THROW(sim.set_slot_value(200, 1, 1.0), ContractViolation);
+    Simulation continuous = builder()
+                                .aggregates({AggregatorSpec::average("avg"),
+                                             AggregatorSpec::maximum("max")})
+                                .build();
+    EXPECT_THROW(continuous.set_slot_value(7, 1, 1.0), ContractViolation);
+
+    // set_slot_value takes an aggregate index, slot_approximations a plane
+    // index: after the width-2 sum_count (planes 0-1), the maximum is
+    // aggregate 1 but plane 2.
+    Simulation wide = builder()
+                          .aggregates({AggregatorSpec::sum_count("sc"),
+                                       AggregatorSpec::maximum("max")})
+                          .epoch_length(30)
+                          .build();
+    run_to_restart(wide, event, 30);
+    wide.set_slot_value(7, 1, 100.0);
+    EXPECT_THROW(wide.set_slot_value(7, 2, 1.0), ContractViolation);
+    run_to_restart(wide, event, 60);
+    for (const double x : wide.slot_approximations(2)) EXPECT_EQ(x, 100.0);
+  }
 }
 
 TEST(SimulationBuilder, AggregateSpecsAreValidated) {
@@ -635,11 +753,11 @@ TEST(SimulationBuilder, RejectsConflictingAdversarySpecs) {
   // Adversary models rewrite single-aggregate exchanges only.
   expect_build_failure(SimulationBuilder()
                            .nodes(100)
-                           .protocol(ProtocolVariant::kMultiAggregate)
-                           .slots({{"avg", Combiner::kAverage}})
+                           .aggregates({AggregatorSpec::average("avg"),
+                                        AggregatorSpec::maximum("max")})
                            .epoch_length(20)
                            .adversary(AdversarySpec::constant_lie(0.1, 5.0)),
-                       "kMultiAggregate");
+                       "pluggable .aggregates(...)");
 
   // Adversary models assume the shared epoch grid, not per-node clocks.
   expect_build_failure(SimulationBuilder()

@@ -223,9 +223,8 @@ TEST(SimulationDeterminism, EventMultiAggregateIsSeedStable) {
     Simulation sim = SimulationBuilder()
                          .nodes(200)
                          .engine(EngineKind::kEvent)
-                         .protocol(ProtocolVariant::kMultiAggregate)
-                         .slots({{"avg", Combiner::kAverage},
-                                 {"min", Combiner::kMin}})
+                         .aggregates({AggregatorSpec::average("avg"),
+                                      AggregatorSpec::minimum("min")})
                          .epoch_length(20)
                          .latency(std::make_shared<UniformLatency>(0.01, 0.2))
                          .failures(FailureSpec::with_churn(
