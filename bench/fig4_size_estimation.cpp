@@ -9,12 +9,16 @@
 //
 // The whole experiment is one SimulationBuilder chain with
 // ProtocolVariant::kSizeEstimation; an EpochLog observer collects the
-// per-epoch reports. The chain reproduces the historical hand-wired
-// SizeEstimationNetwork run byte for byte (same seed, same RNG stream).
+// per-epoch reports.
 //
 // Expected shape (paper): the estimate curve equals the actual-size curve
 // translated by one epoch (new nodes do not participate in the running
-// epoch, so each epoch reports the size at its start).
+// epoch, so each epoch reports the size at its start). The bench checks
+// that shape and exits non-zero on a miss: every epoch that started a
+// counting instance and has reporting nodes must put est_mean within
+// kShapeTolerance of size@start.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -43,6 +47,7 @@ int main() {
   // periods — still enough to see the translated-by-one-epoch shape).
   const std::size_t total_cycles = scaled<std::size_t>(990, 300);
   const double expected_leaders = 4.0;
+  constexpr double kShapeTolerance = 0.05;
 
   std::printf("size band [%zu, %zu], fluctuation %zu join+%zu crash per cycle,\n",
               min_size, max_size, fluctuation, fluctuation);
@@ -72,7 +77,17 @@ int main() {
               "nodes", "inst");
   DataTable data({"cycle", "size_at_start", "size_at_end", "est_min",
                   "est_mean", "est_max", "reporting", "instances"});
+  std::size_t checked = 0;
+  std::size_t misses = 0;
+  double worst = 0.0;
   for (const EpochSummary& r : log->epochs()) {
+    if (r.instances > 0 && r.reporting > 0) {
+      const double start = static_cast<double>(r.population_start);
+      const double error = std::abs(r.est_mean - start) / start;
+      worst = std::max(worst, error);
+      ++checked;
+      if (error > kShapeTolerance) ++misses;
+    }
     std::printf("%6zu %6llu %10zu %10zu | %10.0f %10.0f %10.0f %6zu %5zu\n",
                 r.end_cycle, static_cast<unsigned long long>(r.epoch),
                 r.population_start, r.population_end, r.est_min, r.est_mean,
@@ -83,11 +98,16 @@ int main() {
                   r.est_max, static_cast<double>(r.reporting),
                   static_cast<double>(r.instances)});
   }
+  const bool shape_holds = checked > 0 && misses == 0;
+  std::printf("shape check: %s — %zu of %zu epochs with est_mean within "
+              "%.0f%% of size@start (worst %.1f%%)\n",
+              shape_holds ? "PASS" : "FAIL", checked - misses, checked,
+              kShapeTolerance * 100.0, worst * 100.0);
   export_table(data, "fig4_size_estimation");
   perf.finish();
 
   std::printf("\nexpected shape: est_mean tracks size@start (i.e. the actual\n");
   std::printf("size translated by one epoch); error bars (est_min..est_max)\n");
   std::printf("are tight because every epoch converges for ~30 cycles.\n");
-  return 0;
+  return shape_holds ? 0 : 1;
 }

@@ -7,9 +7,10 @@
 //   $ ./robustness_demo [--nodes=2000] [--loss=0.1] [--epochs=6] [--seed=1]
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "common/cli.hpp"
-#include "protocol/adaptive_async.hpp"
+#include "common/stats.hpp"
 #include "sim/simulation.hpp"
 #include "workload/values.hpp"
 
@@ -57,27 +58,34 @@ int main(int argc, char** argv) {
   std::printf("part 2: adaptive epochs (30 cycles), 1%% clock drift, %.0f%%\n",
               loss * 100.0);
   std::printf("loss, join wave after epoch 1, values drift at epoch 3\n\n");
-  AdaptiveAsyncConfig adaptive_config;
-  adaptive_config.initial_size = n;
-  adaptive_config.epoch_length = 30;
-  adaptive_config.clock_drift = 0.01;
-  adaptive_config.loss_probability = loss;
-  AdaptiveAsyncNetwork net(adaptive_config, values, seed + 2);
+  Simulation adaptive = SimulationBuilder()
+                            .engine(EngineKind::kEvent)
+                            .adaptive_epochs(0.01)
+                            .epoch_length(30)
+                            .failures(FailureSpec::message_loss_only(loss))
+                            .workload(WorkloadSpec::from_values(values))
+                            .seed(seed + 2)
+                            .build();
 
-  net.run(35.0);
-  for (std::size_t j = 0; j < n / 10; ++j) net.join(2.0);  // heavy outlier wave
-  net.run(3.0 * 30.0 + 5.0);
-  for (NodeId i = 0; i < n; ++i) net.set_attribute(i, values[i] + 1.0);
-  net.run(static_cast<double>(epochs) * 30.0 + 5.0);
+  adaptive.run_time(35.0);
+  for (std::size_t j = 0; j < n / 10; ++j) adaptive.join(2.0);  // outlier wave
+  adaptive.run_time(3.0 * 30.0 + 5.0);
+  for (NodeId i = 0; i < n; ++i) adaptive.set_value(i, values[i] + 1.0);
+  adaptive.run_time(static_cast<double>(epochs) * 30.0 + 5.0);
 
+  // Each node reports its approximation as it completes a local epoch.
+  std::vector<RunningStats> per_epoch(epochs);
+  for (const AdaptiveEpochSample& sample : adaptive.adaptive_samples()) {
+    if (sample.epoch < epochs) per_epoch[sample.epoch].add(sample.approximation);
+  }
   std::printf("%6s %-9s %-12s %-12s %-12s\n", "epoch", "reports", "est_mean",
               "est_min", "est_max");
   for (EpochId e = 0; e < epochs; ++e) {
-    const auto summary = net.epoch_summary(e);
-    if (!summary.has_value()) continue;
+    const RunningStats& summary = per_epoch[e];
+    if (summary.count() == 0) continue;
     std::printf("%6llu %-9zu %-12.6f %-12.6f %-12.6f\n",
-                static_cast<unsigned long long>(e), summary->count(),
-                summary->mean(), summary->min(), summary->max());
+                static_cast<unsigned long long>(e), summary.count(),
+                summary.mean(), summary.min(), summary.max());
   }
 
   std::printf("\nreading the table: epoch 0-1 report the original average;\n");

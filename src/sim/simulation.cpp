@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "baseline/push_sum.hpp"
 #include "common/stats.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
@@ -667,13 +666,12 @@ private:
 // SizeEstimationImpl — §4 counting instances with epoch restarts
 // ===================================================================
 //
-// The Fig. 4 machinery. The cycle structure (churn → exchanges → boundary
-// restart) and every RNG draw mirror the original SizeEstimationNetwork so
-// the preset in protocol/network_runner.hpp reproduces historical runs
-// exactly. The NodeStateStore carries the per-node persistent state — the
-// size prior lives in the (single) attribute plane, participation in the
-// packed bitmap — and manages slot id recycling; the InstanceSets stay in a
-// parallel array (they are growable protocol state, not a value plane).
+// The Fig. 4 machinery: each cycle runs churn (when a schedule is set), the
+// exchanges, then the epoch-boundary restart. The NodeStateStore carries the
+// per-node persistent state — the size prior lives in the (single)
+// attribute plane, participation in the packed bitmap — and manages slot id
+// recycling; the InstanceSets stay in a parallel array (they are growable
+// protocol state, not a value plane).
 // Unlike the averaging impl there is no plane-wise merge to batch draws
 // for — InstanceSet exchanges are growable-set merges — so the sweep stays
 // the historical fused draw-and-exchange loop.
@@ -682,8 +680,7 @@ public:
   SizeEstimationImpl(std::shared_ptr<Rng> rng,
                      std::vector<std::shared_ptr<Observer>> observers,
                      std::size_t initial_size, std::size_t epoch_length,
-                     double expected_leaders, double initial_estimate,
-                     ActivationOrder order,
+                     double expected_leaders, ActivationOrder order,
                      std::shared_ptr<ChurnSchedule> churn, double loss,
                      std::unique_ptr<PeerSamplingService> overlay = nullptr,
                      std::shared_ptr<AdversaryRuntime> adversary = nullptr)
@@ -697,9 +694,7 @@ public:
         adversary_(std::move(adversary)) {
     for (const auto& observer : observers_)
       want_health_ = want_health_ || observer->wants_overlay_health();
-    const double prior = initial_estimate > 0.0
-                             ? initial_estimate
-                             : static_cast<double>(initial_size);
+    const auto prior = static_cast<double>(initial_size);
     instances_.reserve(initial_size);
     for (std::size_t i = 0; i < initial_size; ++i) {
       const NodeId id = allocate_slot();
@@ -710,7 +705,7 @@ public:
   }
 
   void run_cycle() override {
-    apply_churn();
+    if (churn_ != nullptr) apply_churn();
     // The live membership co-run (as in CycleAveragingImpl's overlay
     // source): the overlay gossips one cycle first, then partners resolve
     // from the evolving views instead of the complete participant set.
@@ -813,10 +808,11 @@ private:
         overlay_->remove_node(victim);
         store_.reset(victim);
         instances_[victim].clear();
-        if (adversary_ != nullptr) adversary_->clear_role(victim);
       } else {
         store_.release(victim);
       }
+      // The recycled slot belongs to a fresh, honest joiner from here on.
+      if (adversary_ != nullptr) adversary_->clear_role(victim);
     }
 
     // Joins: the newcomer contacts a random alive node out-of-band, inherits
@@ -877,7 +873,7 @@ private:
 
   double expected_leaders_;
   ActivationOrder order_;
-  std::shared_ptr<ChurnSchedule> churn_;
+  std::shared_ptr<ChurnSchedule> churn_;          // null = static population
   std::unique_ptr<PeerSamplingService> overlay_;  // null = complete overlay
   NodeStateStore store_;  // attribute plane 0 = the §4 size prior
   std::vector<InstanceSet> instances_;
@@ -895,7 +891,15 @@ private:
 // ===================================================================
 // PushSumImpl — the Kempe–Dobra–Gehrke baseline as a protocol variant
 // ===================================================================
-
+//
+// Every node holds a (sum, weight) pair, initially (a_i, 1). Each round it
+// halves both, keeps one half and ships the other to a uniformly random
+// neighbour; received halves are added in after the sweep, and the estimate
+// is sum/weight. Lossless rounds conserve Σsum and Σweight. A lost message
+// removes sum AND weight together, so the surviving estimates stay (nearly)
+// unbiased where push–pull under loss loses sum-mass only — the contrast
+// bench/ablation_push_sum.cpp measures. Rounds draw from a private stream
+// seeded once from the master stream at construction.
 class PushSumImpl final : public SimulationImpl {
 public:
   PushSumImpl(std::shared_ptr<Rng> rng,
@@ -904,43 +908,58 @@ public:
               std::vector<double> initial, double loss,
               std::shared_ptr<AdversaryRuntime> adversary = nullptr)
       : SimulationImpl(std::move(rng), std::move(observers), 0),
-        topology_(topology),
-        network_(initial, std::move(topology), rng_->next_u64()),
+        topology_(std::move(topology)),
+        round_rng_(rng_->next_u64()),
+        sums_(std::move(initial)),
+        weights_(sums_.size(), 1.0),
+        inbox_sum_(sums_.size(), 0.0),
+        inbox_weight_(sums_.size(), 0.0),
+        estimates_(sums_),  // sum/weight at weight 1
         loss_(loss),
         adversary_(std::move(adversary)) {
-    estimates_ = network_.estimates();
-    if (adversary_ != nullptr) {
-      want_impact_ = want_attack_impact();
-      if (adversary_->lying()) {
-        hooks_.pin = [this](NodeId id, double& estimate) {
-          if (!adversary_->adversarial(id)) return false;
-          estimate = adversary_->reported(id, estimate, cycle_);
-          return true;
-        };
-      }
-      if (adversary_->spec().kind == AdversarySpec::Kind::kPartition) {
-        hooks_.blocked = [this](NodeId from, NodeId to) {
-          return adversary_->blocks(from, to, cycle_);
-        };
-      }
-      if (want_impact_) {
-        attributes_ = initial;
-        impact_ids_.resize(initial.size());
-        for (NodeId id = 0; id < initial.size(); ++id) impact_ids_[id] = id;
-      }
+    want_impact_ = adversary_ != nullptr && want_attack_impact();
+    if (want_impact_) {
+      attributes_ = sums_;
+      impact_ids_.resize(sums_.size());
+      for (NodeId id = 0; id < sums_.size(); ++id) impact_ids_[id] = id;
     }
   }
 
   void run_cycle() override {
-    if (adversary_ != nullptr) {
-      network_.run_round(loss_, hooks_);
-    } else {
-      network_.run_round(loss_);
+    std::fill(inbox_sum_.begin(), inbox_sum_.end(), 0.0);
+    std::fill(inbox_weight_.begin(), inbox_weight_.end(), 0.0);
+    const bool lie = adversary_ != nullptr && adversary_->lying();
+    for (NodeId i = 0; i < sums_.size(); ++i) {
+      // A lying node pins its estimate right before halving, so the lie
+      // ships with the node's real weight (the push-sum form of value-lying).
+      if (lie && adversary_->adversarial(i)) {
+        const double estimate = sums_[i] / weights_[i];
+        sums_[i] = adversary_->reported(i, estimate, cycle_) * weights_[i];
+      }
+      const double half_sum = sums_[i] / 2.0;
+      const double half_weight = weights_[i] / 2.0;
+      expect_push_sum_weight(half_weight, i, cycle_);
+      sums_[i] = half_sum;
+      weights_[i] = half_weight;
+      const NodeId target = topology_->random_neighbor(i, round_rng_);
+      if (adversary_ != nullptr && adversary_->blocks(i, target, cycle_)) {
+        // Partitioned: the sender keeps both halves so Σsum/Σweight hold.
+        sums_[i] += half_sum;
+        weights_[i] += half_weight;
+        continue;
+      }
+      if (loss_ > 0.0 && round_rng_.bernoulli(loss_)) continue;
+      inbox_sum_[target] += half_sum;
+      inbox_weight_[target] += half_weight;
+    }
+    for (NodeId i = 0; i < sums_.size(); ++i) {
+      sums_[i] += inbox_sum_[i];
+      weights_[i] += inbox_weight_[i];
+      estimates_[i] = sums_[i] / weights_[i];
     }
     ++cycle_;
-    estimates_ = network_.estimates();
     if (observed()) {
-      notify_cycle(CycleView{cycle_, network_.size(), epiagg::mean(estimates_),
+      notify_cycle(CycleView{cycle_, sums_.size(), epiagg::mean(estimates_),
                              empirical_variance(estimates_),
                              std::span<const double>(estimates_)});
     }
@@ -952,28 +971,30 @@ public:
     }
   }
 
-  std::size_t population_size() const override { return network_.size(); }
+  std::size_t population_size() const override { return sums_.size(); }
 
   const std::vector<double>& approximations() const override {
     return estimates_;
   }
 
-  double total_mass() const override { return network_.total_sum(); }
+  double total_mass() const override { return kahan_total(sums_); }
 
   std::shared_ptr<const Topology> topology() const override { return topology_; }
 
 private:
   std::shared_ptr<const Topology> topology_;
-  PushSumNetwork network_;
+  Rng round_rng_;
+  std::vector<double> sums_;
+  std::vector<double> weights_;
+  std::vector<double> inbox_sum_;     // per-round deliveries
+  std::vector<double> inbox_weight_;
+  std::vector<double> estimates_;     // sum/weight after the last round
   double loss_ = 0.0;
   std::shared_ptr<AdversaryRuntime> adversary_;
-  PushSumRoundHooks hooks_;
   bool want_impact_ = false;
-  std::vector<double> estimates_;
   std::vector<double> attributes_;   // initial values (the honest truth)
   std::vector<NodeId> impact_ids_;
 };
-
 
 }  // namespace
 }  // namespace detail
@@ -1091,11 +1112,6 @@ SimulationBuilder& SimulationBuilder::aggregates(
 SimulationBuilder& SimulationBuilder::expected_leaders(double expected) {
   expected_leaders_ = expected;
   expected_leaders_set_ = true;
-  return *this;
-}
-SimulationBuilder& SimulationBuilder::initial_estimate(double estimate) {
-  initial_estimate_ = estimate;
-  initial_estimate_set_ = true;
   return *this;
 }
 SimulationBuilder& SimulationBuilder::waiting(WaitingTime policy) {
@@ -1269,6 +1285,11 @@ Simulation SimulationBuilder::build() {
       EPIAGG_EXPECTS(!activation_set_,
                      "push-sum rounds activate every node once in storage "
                      "order; remove .activation(...)");
+      EPIAGG_EXPECTS(failures_.message_loss < 1.0,
+                     "push-sum at message loss 1.0 loses every half it "
+                     "ships, so each weight halves every round until it "
+                     "underflows to 0 and sum/weight reads 0/0 — use a loss "
+                     "below 1.0");
       break;
     case ProtocolVariant::kSizeEstimation:
       EPIAGG_EXPECTS(!has_aggregates,
@@ -1295,10 +1316,9 @@ Simulation SimulationBuilder::build() {
       break;
   }
   if (protocol_ != ProtocolVariant::kSizeEstimation) {
-    EPIAGG_EXPECTS(!expected_leaders_set_ && !initial_estimate_set_,
-                   "leader counts and size priors parameterize "
-                   "ProtocolVariant::kSizeEstimation only; remove "
-                   ".expected_leaders(...)/.initial_estimate(...)");
+    EPIAGG_EXPECTS(!expected_leaders_set_,
+                   "leader counts parameterize ProtocolVariant::kSizeEstimation "
+                   "only; remove .expected_leaders(...)");
   }
 
   // ---- the aggregate plan ----
@@ -1555,17 +1575,15 @@ Simulation SimulationBuilder::build() {
       spec.adversary = make_runtime(n);
       return Simulation(detail::make_event_size_estimation(
           rng, observers_, std::move(spec), n, expected_leaders_,
-          initial_estimate_, std::move(event_overlay)));
+          std::move(event_overlay)));
     }
     std::unique_ptr<PeerSamplingService> overlay;
     if (live_membership) overlay = build_overlay();
-    std::shared_ptr<ChurnSchedule> churn =
-        has_churn ? failures_.churn : std::make_shared<NoChurn>();
     auto runtime = make_runtime(n);
     return Simulation(std::make_unique<detail::SizeEstimationImpl>(
-        rng, observers_, n, epoch_length, expected_leaders_, initial_estimate_,
-        activation_, std::move(churn), failures_.message_loss,
-        std::move(overlay), std::move(runtime)));
+        rng, observers_, n, epoch_length, expected_leaders_, activation_,
+        failures_.churn, failures_.message_loss, std::move(overlay),
+        std::move(runtime)));
   }
 
   // Averaging family and push-sum. Partner source: a live membership

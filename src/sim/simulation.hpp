@@ -16,8 +16,8 @@
 //
 // — all randomness flowing from a single 64-bit seed for bit-reproducible
 // runs. Conflicting specs fail fast in build() with an actionable
-// ContractViolation. AveragingNetwork and SizeEstimationNetwork
-// (protocol/network_runner.hpp) are thin presets over this builder.
+// ContractViolation. Averaging, size estimation, adaptive epochs and the
+// push-sum baseline are all builder chains; there are no other entry points.
 #pragma once
 
 #include <cstdint>
@@ -337,6 +337,8 @@ public:
   [[nodiscard]] const std::vector<EpochSummary>& epochs() const;
 
   /// Size estimation: total counting-instance mass over all participants.
+  /// Push-sum: Σsum over all nodes (on the event engine including the
+  /// halves in flight) — conserved without loss, shrinking with it.
   [[nodiscard]] double total_mass() const;
 
   /// The composed overlay topology. Precondition: the configuration gossips
@@ -423,10 +425,6 @@ public:
   /// Size estimation: target number of concurrent counting instances.
   SimulationBuilder& expected_leaders(double expected);
 
-  /// Size estimation: prior size estimate before the first epoch completes
-  /// (0 = use the initial population size).
-  SimulationBuilder& initial_estimate(double estimate);
-
   /// Event engine: GETWAITINGTIME policy.
   SimulationBuilder& waiting(WaitingTime policy);
 
@@ -490,8 +488,6 @@ private:
   std::vector<AggregatorSpec> aggregates_;
   double expected_leaders_ = 4.0;
   bool expected_leaders_set_ = false;
-  double initial_estimate_ = 0.0;
-  bool initial_estimate_set_ = false;
   WaitingTime waiting_ = WaitingTime::kConstant;
   bool waiting_set_ = false;
   bool adaptive_epochs_ = false;

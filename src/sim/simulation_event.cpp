@@ -33,8 +33,7 @@
 //    epochs restart either on the global simulated-time grid (multiples of
 //    the epoch length, churn fired at integer times) or adaptively — each
 //    node runs a local, possibly drifting ΔT clock and adopts newer epoch
-//    ids epidemically from message tags (the fully asynchronous §4 scheme
-//    previously implemented by the bespoke AdaptiveAsyncNetwork loop).
+//    ids epidemically from message tags (the fully asynchronous §4 scheme).
 //  * EventCountingImpl — §4 size estimation: counting instances spread by
 //    push/reply messages between autonomous participants.
 //  * EventPushSumImpl — the Kempe–Dobra–Gehrke baseline: push-only messages
@@ -909,7 +908,7 @@ public:
   EventCountingImpl(std::shared_ptr<Rng> rng,
                     std::vector<std::shared_ptr<Observer>> observers,
                     EventSpec spec, std::size_t initial_size,
-                    double expected_leaders, double initial_estimate,
+                    double expected_leaders,
                     std::unique_ptr<PeerSamplingService> overlay)
       : EventMessagingImpl(std::move(rng), std::move(observers), std::move(spec)),
         expected_leaders_(expected_leaders),
@@ -917,9 +916,7 @@ public:
     overlay_ = std::move(overlay);
     EPIAGG_ASSERT(epoch_length_ >= 1,
                   "size estimation restarts via epochs");
-    const double prior = initial_estimate > 0.0
-                             ? initial_estimate
-                             : static_cast<double>(initial_size);
+    const auto prior = static_cast<double>(initial_size);
     instances_.reserve(initial_size);
     for (std::size_t i = 0; i < initial_size; ++i) {
       const NodeId id = allocate_slot();
@@ -1256,6 +1253,7 @@ private:
     }
     const double half_sum = sums_[id] / 2.0;
     const double half_weight = weights_[id] / 2.0;
+    expect_push_sum_weight(half_weight, id, cycle_);
     sums_[id] = half_sum;
     weights_[id] = half_weight;
     if (spec_.adversary != nullptr && spec_.adversary->blocks(id, peer, cycle_)) {
@@ -1308,10 +1306,10 @@ std::unique_ptr<SimulationImpl> make_event_averaging(
 std::unique_ptr<SimulationImpl> make_event_size_estimation(
     std::shared_ptr<Rng> rng, std::vector<std::shared_ptr<Observer>> observers,
     EventSpec spec, std::size_t initial_size, double expected_leaders,
-    double initial_estimate, std::unique_ptr<PeerSamplingService> overlay) {
+    std::unique_ptr<PeerSamplingService> overlay) {
   return std::make_unique<EventCountingImpl>(
       std::move(rng), std::move(observers), std::move(spec), initial_size,
-      expected_leaders, initial_estimate, std::move(overlay));
+      expected_leaders, std::move(overlay));
 }
 
 std::unique_ptr<SimulationImpl> make_event_push_sum(

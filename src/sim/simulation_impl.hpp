@@ -268,6 +268,20 @@ EpochSummary summarize_counting_epoch(const AliveSet& participants,
   return summary;
 }
 
+/// Push-sum's failure mode under message loss: every lost half takes its
+/// weight along, so weights shrink until halving one yields 0 and the
+/// estimate sum/weight reads 0/0. Both push-sum impls check every halved
+/// weight and throw at the first 0 instead of reporting NaN.
+inline void expect_push_sum_weight(double half_weight, NodeId id,
+                                   std::size_t cycle) {
+  if (half_weight > 0.0) return;
+  unsupported("push-sum weight underflow: node " + std::to_string(id) +
+              " halved its weight to 0 in cycle " + std::to_string(cycle) +
+              "; lost messages drained the weight faster than deliveries "
+              "refill it, so its estimate sum/weight would read 0/0 — lower "
+              "the message loss or run fewer cycles");
+}
+
 /// Walks a live overlay's current graph and pushes the structural health
 /// record through the observer pipeline (opt-in, RNG-neutral). Shared by the
 /// cycle- and event-engine live-membership impls.
@@ -364,7 +378,7 @@ std::unique_ptr<SimulationImpl> make_event_averaging(
 std::unique_ptr<SimulationImpl> make_event_size_estimation(
     std::shared_ptr<Rng> rng, std::vector<std::shared_ptr<Observer>> observers,
     EventSpec spec, std::size_t initial_size, double expected_leaders,
-    double initial_estimate, std::unique_ptr<PeerSamplingService> overlay);
+    std::unique_ptr<PeerSamplingService> overlay);
 
 /// The Kempe–Dobra–Gehrke push-sum baseline on the event engine: push-only
 /// messages whose (sum, weight) mass is genuinely in flight under latency.

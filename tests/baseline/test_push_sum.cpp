@@ -1,47 +1,65 @@
-#include "baseline/push_sum.hpp"
+// The Kempe–Dobra–Gehrke push-sum baseline through the builder
+// (`.protocol(ProtocolVariant::kPushSum)`): conservation, convergence, its
+// per-round contraction against push–pull, its behaviour under message loss,
+// and the loss edge where every weight underflows.
+#include "sim/simulation.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
+#include <string>
 
 #include "common/stats.hpp"
-#include "graph/generators.hpp"
 #include "workload/values.hpp"
 
 namespace epiagg {
 namespace {
 
-std::shared_ptr<const Topology> complete(NodeId n) {
-  return std::make_shared<CompleteTopology>(n);
+Simulation push_sum(std::vector<double> values, std::uint64_t seed,
+                    double loss = 0.0,
+                    TopologySpec topology = TopologySpec::complete(),
+                    EngineKind engine = EngineKind::kCycle) {
+  return SimulationBuilder()
+      .engine(engine)
+      .protocol(ProtocolVariant::kPushSum)
+      .topology(topology)
+      .failures(FailureSpec::message_loss_only(loss))
+      .workload(WorkloadSpec::from_values(std::move(values)))
+      .seed(seed)
+      .build();
 }
 
 TEST(PushSum, ConservesSumAndWeightWithoutLoss) {
   Rng rng(1);
   auto values = generate_values(ValueDistribution::kNormal, 500, rng);
   const double total = kahan_total(values);
-  PushSumNetwork net(values, complete(500), 2);
-  net.run_rounds(20);
-  EXPECT_NEAR(net.total_sum(), total, 1e-9);
-  EXPECT_NEAR(net.total_weight(), 500.0, 1e-9);
+  const double truth = mean(values);
+  Simulation sim = push_sum(values, 2);
+  sim.run_cycles(20);
+  EXPECT_NEAR(sim.total_mass(), total, 1e-9);
+  // Σweight is not observable, but once every estimate sum/weight equals
+  // the true average, the conserved Σsum forces Σweight = N.
+  sim.run_cycles(60);
+  EXPECT_NEAR(sim.total_mass(), total, 1e-9);
+  for (const double e : sim.approximations()) EXPECT_NEAR(e, truth, 1e-9);
 }
 
 TEST(PushSum, EstimatesConvergeToTrueAverage) {
   Rng rng(3);
   auto values = generate_values(ValueDistribution::kUniform, 1000, rng);
   const double truth = mean(values);
-  PushSumNetwork net(values, complete(1000), 4);
-  net.run_rounds(40);
-  for (const double e : net.estimates()) EXPECT_NEAR(e, truth, 1e-5);
+  Simulation sim = push_sum(values, 4);
+  sim.run_cycles(40);
+  for (const double e : sim.approximations()) EXPECT_NEAR(e, truth, 1e-5);
 }
 
 TEST(PushSum, ConvergesExponentially) {
   Rng rng(5);
   auto values = generate_values(ValueDistribution::kNormal, 2000, rng);
-  PushSumNetwork net(values, complete(2000), 6);
-  const double v0 = net.estimate_variance();
-  net.run_rounds(10);
-  const double v10 = net.estimate_variance();
+  Simulation sim = push_sum(values, 6);
+  const double v0 = sim.variance();
+  sim.run_cycles(10);
+  const double v10 = sim.variance();
   EXPECT_LT(v10, v0 * 1e-2);
 }
 
@@ -53,63 +71,100 @@ TEST(PushSum, SlowerPerRoundThanPushPullTheory) {
   RunningStats factor;
   for (int run = 0; run < 10; ++run) {
     auto values = generate_values(ValueDistribution::kNormal, 2000, rng);
-    PushSumNetwork net(values, complete(2000), 100 + run);
-    const double before = net.estimate_variance();
-    net.run_rounds(8);
-    factor.add(std::pow(net.estimate_variance() / before, 1.0 / 8.0));
+    Simulation sim = push_sum(values, 100 + run);
+    const double before = sim.variance();
+    sim.run_cycles(8);
+    factor.add(std::pow(sim.variance() / before, 1.0 / 8.0));
   }
   EXPECT_GT(factor.mean(), 0.303);  // worse than push-pull SEQ
   EXPECT_LT(factor.mean(), 0.75);   // but still geometric
 }
 
-TEST(PushSum, LossShrinksWeightButKeepsEstimatesNearlyUnbiased) {
+TEST(PushSum, LossShrinksMassButKeepsEstimatesNearlyUnbiased) {
   // The headline robustness contrast: losing (sum, weight) together keeps
   // sum/weight ≈ average even under heavy loss.
   Rng rng(8);
   auto values = generate_values(ValueDistribution::kUniform, 2000, rng);
+  const double total = kahan_total(values);
   const double truth = mean(values);
-  PushSumNetwork net(values, complete(2000), 9);
-  net.run_rounds(25, /*loss_probability=*/0.2);
-  EXPECT_LT(net.total_weight(), 2000.0 * 0.5);  // massive weight loss...
-  RunningStats estimates;
-  for (const double e : net.estimates()) estimates.add(e);
-  EXPECT_NEAR(estimates.mean(), truth, 0.01);   // ...yet nearly unbiased
+  Simulation sim = push_sum(values, 9, /*loss=*/0.2);
+  sim.run_cycles(25);
+  EXPECT_LT(sim.total_mass(), total * 0.5);  // massive mass loss...
+  EXPECT_NEAR(sim.mean(), truth, 0.01);      // ...yet nearly unbiased
 }
 
 TEST(PushSum, WorksOnSparseTopology) {
   Rng rng(10);
-  auto topology = std::make_shared<GraphTopology>(random_out_view(500, 20, rng));
   auto values = generate_values(ValueDistribution::kUniform, 500, rng);
   const double truth = mean(values);
-  PushSumNetwork net(values, topology, 11);
-  net.run_rounds(40);
-  for (const double e : net.estimates()) EXPECT_NEAR(e, truth, 1e-5);
+  Simulation sim = push_sum(values, 11, 0.0, TopologySpec::random_out_view(20));
+  sim.run_cycles(40);
+  for (const double e : sim.approximations()) EXPECT_NEAR(e, truth, 1e-5);
 }
 
 TEST(PushSum, DeterministicGivenSeed) {
   Rng rng(12);
   auto values = generate_values(ValueDistribution::kNormal, 100, rng);
-  PushSumNetwork a(values, complete(100), 13);
-  PushSumNetwork b(values, complete(100), 13);
-  a.run_rounds(5);
-  b.run_rounds(5);
-  EXPECT_EQ(a.estimates(), b.estimates());
+  Simulation a = push_sum(values, 13);
+  Simulation b = push_sum(values, 13);
+  a.run_cycles(5);
+  b.run_cycles(5);
+  EXPECT_EQ(a.approximations(), b.approximations());
 }
 
 TEST(PushSum, ValidatesInputs) {
-  Rng rng(14);
-  EXPECT_THROW(PushSumNetwork({1.0}, complete(2), 1), ContractViolation);
-  EXPECT_THROW(PushSumNetwork({1.0, 2.0, 3.0}, complete(2), 1), ContractViolation);
-  PushSumNetwork net({1.0, 2.0}, complete(2), 1);
-  EXPECT_THROW(net.run_round(1.5), ContractViolation);
-  EXPECT_THROW(net.estimate(5), ContractViolation);
+  EXPECT_THROW(push_sum({1.0}, 1), ContractViolation);            // n < 2
+  EXPECT_THROW(push_sum({1.0, 2.0}, 1, 1.5), ContractViolation);  // loss > 1
+}
+
+TEST(PushSum, RejectsTotalLoss) {
+  // At loss 1.0 every shipped half is lost, so each weight halves every
+  // round and underflows to 0 after ~1075 rounds; build() refuses the run.
+  for (const EngineKind engine : {EngineKind::kCycle, EngineKind::kEvent}) {
+    try {
+      (void)push_sum({1.0, 2.0, 3.0}, 1, 1.0, TopologySpec::complete(), engine);
+      ADD_FAILURE() << "push-sum at loss 1.0 must be rejected";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("loss 1.0"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(PushSum, WeightUnderflowUnderLossIsReportedOnBothEngines) {
+  // Loss 0.5 drains the weights geometrically: within a few thousand rounds
+  // one halves to 0 and its estimate sum/weight would read 0/0. Both
+  // engines must stop with the weight-underflow ContractViolation before
+  // any estimate turns NaN.
+  Rng rng(5);
+  const auto values = generate_values(ValueDistribution::kUniform, 100, rng);
+  for (const EngineKind engine : {EngineKind::kCycle, EngineKind::kEvent}) {
+    Simulation sim =
+        push_sum(values, 5, /*loss=*/0.5, TopologySpec::complete(), engine);
+    std::string failure;
+    try {
+      for (int t = 1; t <= 10000; ++t) {
+        if (engine == EngineKind::kCycle) {
+          sim.run_cycle();
+        } else {
+          sim.run_time(static_cast<double>(t));
+        }
+        ASSERT_FALSE(std::isnan(sim.mean())) << "t = " << t;
+        ASSERT_FALSE(std::isnan(sim.variance())) << "t = " << t;
+      }
+    } catch (const ContractViolation& e) {
+      failure = e.what();
+    }
+    EXPECT_NE(failure.find("push-sum weight underflow"), std::string::npos)
+        << to_string(engine) << ": " << failure;
+  }
 }
 
 TEST(PushSum, RoundCounter) {
-  PushSumNetwork net({1.0, 2.0, 3.0, 4.0}, complete(4), 15);
-  EXPECT_EQ(net.rounds_completed(), 0u);
-  net.run_rounds(7);
-  EXPECT_EQ(net.rounds_completed(), 7u);
+  Simulation sim = push_sum({1.0, 2.0, 3.0, 4.0}, 15);
+  EXPECT_EQ(sim.cycle(), 0u);
+  sim.run_cycles(7);
+  EXPECT_EQ(sim.cycle(), 7u);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "aggregate/aggregate.hpp"
 #include "core/avg_model.hpp"
 #include "membership/newscast.hpp"
-#include "protocol/network_runner.hpp"
 #include "sim/simulation.hpp"
 #include "workload/values.hpp"
 
@@ -34,12 +33,17 @@ TEST(ExamplesSmoke, QuickstartFlow) {
 
 TEST(ExamplesSmoke, SizeEstimationFlow) {
   // examples/size_estimation.cpp: epochs + leaders + churn.
-  SizeEstimationConfig config;
-  config.initial_size = 2000;
-  config.epoch_length = 30;
-  SizeEstimationNetwork net(config, std::make_unique<ConstantFluctuation>(5), 2);
-  net.run_cycles(90);
-  EXPECT_EQ(net.reports().size(), 3u);
+  Simulation sim = SimulationBuilder()
+                       .nodes(2000)
+                       .protocol(ProtocolVariant::kSizeEstimation)
+                       .epoch_length(30)
+                       .expected_leaders(4.0)
+                       .failures(FailureSpec::with_churn(
+                           std::make_shared<ConstantFluctuation>(5)))
+                       .seed(2)
+                       .build();
+  sim.run_cycles(90);
+  EXPECT_EQ(sim.epochs().size(), 3u);
 }
 
 TEST(ExamplesSmoke, LoadMonitoringFlow) {

@@ -7,30 +7,41 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "protocol/network_runner.hpp"
+#include "sim/simulation.hpp"
 
 namespace epiagg {
 namespace {
 
+Simulation size_estimation(std::size_t n, std::size_t epoch_length,
+                           double expected_leaders,
+                           std::shared_ptr<ChurnSchedule> churn,
+                           std::uint64_t seed) {
+  return SimulationBuilder()
+      .nodes(n)
+      .protocol(ProtocolVariant::kSizeEstimation)
+      .epoch_length(epoch_length)
+      .expected_leaders(expected_leaders)
+      .failures(FailureSpec::with_churn(std::move(churn)))
+      .seed(seed)
+      .build();
+}
+
 TEST(Fig4Pipeline, EstimateTracksOscillationDelayedByOneEpoch) {
   // Scaled Fig. 4: size oscillates 9000..11000 (period 200), fluctuation 10
   // joins + 10 crashes per cycle, epochs of 30 cycles, 600 cycles total.
-  SizeEstimationConfig config;
-  config.initial_size = 11000;
-  config.epoch_length = 30;
-  config.expected_leaders = 4.0;
-  auto churn = std::make_unique<OscillatingChurn>(9000, 11000, 200, 10);
-  SizeEstimationNetwork net(config, std::move(churn), 20040607);
-  net.run_cycles(600);
-  ASSERT_EQ(net.reports().size(), 20u);
+  Simulation sim = size_estimation(
+      11000, 30, 4.0, std::make_shared<OscillatingChurn>(9000, 11000, 200, 10),
+      20040607);
+  sim.run_cycles(600);
+  ASSERT_EQ(sim.epochs().size(), 20u);
 
   int tracked = 0;
   double worst_relative_error = 0.0;
-  for (const EpochReport& report : net.reports()) {
+  for (const EpochSummary& report : sim.epochs()) {
     if (report.instances == 0 || report.reporting == 0) continue;
     // The estimate describes the state at the epoch START ("translated by an
     // epoch"), not the end.
-    const double target = static_cast<double>(report.size_at_start);
+    const double target = static_cast<double>(report.population_start);
     const double err = std::abs(report.est_mean - target) / target;
     worst_relative_error = std::max(worst_relative_error, err);
     ++tracked;
@@ -46,25 +57,23 @@ TEST(Fig4Pipeline, EstimateLagsRatherThanLeads) {
   // During a monotone decline, the (lagging) estimate should on average sit
   // ABOVE the current size; during a monotone rise, BELOW. Use a long
   // triangle wave so epochs fall into clean monotone segments.
-  SizeEstimationConfig config;
-  config.initial_size = 6000;
-  config.epoch_length = 25;
-  config.expected_leaders = 6.0;
-  auto churn = std::make_unique<OscillatingChurn>(4000, 6000, 400, 5);
-  SizeEstimationNetwork net(config, std::move(churn), 42);
-  net.run_cycles(400);
+  Simulation sim = size_estimation(
+      6000, 25, 6.0, std::make_shared<OscillatingChurn>(4000, 6000, 400, 5), 42);
+  sim.run_cycles(400);
 
   int declining_above = 0, declining_total = 0;
   int rising_below = 0, rising_total = 0;
-  for (const EpochReport& report : net.reports()) {
+  for (const EpochSummary& report : sim.epochs()) {
     if (report.instances == 0 || report.reporting == 0) continue;
-    const bool declining = report.size_at_end < report.size_at_start;
+    const bool declining = report.population_end < report.population_start;
     if (declining) {
       ++declining_total;
-      if (report.est_mean > static_cast<double>(report.size_at_end)) ++declining_above;
-    } else if (report.size_at_end > report.size_at_start) {
+      if (report.est_mean > static_cast<double>(report.population_end))
+        ++declining_above;
+    } else if (report.population_end > report.population_start) {
       ++rising_total;
-      if (report.est_mean < static_cast<double>(report.size_at_end)) ++rising_below;
+      if (report.est_mean < static_cast<double>(report.population_end))
+        ++rising_below;
     }
   }
   ASSERT_GT(declining_total, 3);
@@ -76,14 +85,11 @@ TEST(Fig4Pipeline, EstimateLagsRatherThanLeads) {
 TEST(Fig4Pipeline, FluctuationOnlyChurnKeepsEstimatesNearTruth) {
   // Pure background fluctuation (size constant at 2000, 20 swaps/cycle):
   // estimates stay within ~10% of the truth epoch after epoch.
-  SizeEstimationConfig config;
-  config.initial_size = 2000;
-  config.epoch_length = 30;
-  config.expected_leaders = 4.0;
-  SizeEstimationNetwork net(config, std::make_unique<ConstantFluctuation>(20), 7);
-  net.run_cycles(300);
+  Simulation sim = size_estimation(
+      2000, 30, 4.0, std::make_shared<ConstantFluctuation>(20), 7);
+  sim.run_cycles(300);
   int checked = 0;
-  for (const EpochReport& report : net.reports()) {
+  for (const EpochSummary& report : sim.epochs()) {
     if (report.instances == 0 || report.reporting == 0) continue;
     EXPECT_NEAR(report.est_mean, 2000.0, 200.0);
     ++checked;
@@ -96,14 +102,10 @@ TEST(Fig4Pipeline, ErrorBarsShrinkWithMoreInstances) {
   // leaders the node-level spread (max-min)/mean should typically be tighter
   // than with E=1. Compare medians over epochs to be robust.
   auto run_spread = [](double leaders, std::uint64_t seed) {
-    SizeEstimationConfig config;
-    config.initial_size = 3000;
-    config.epoch_length = 30;
-    config.expected_leaders = leaders;
-    SizeEstimationNetwork net(config, std::make_unique<NoChurn>(), seed);
-    net.run_cycles(300);
+    Simulation sim = size_estimation(3000, 30, leaders, nullptr, seed);
+    sim.run_cycles(300);
     std::vector<double> spreads;
-    for (const EpochReport& report : net.reports()) {
+    for (const EpochSummary& report : sim.epochs()) {
       if (report.instances == 0 || report.reporting == 0) continue;
       spreads.push_back((report.est_max - report.est_min) / report.est_mean);
     }

@@ -1,9 +1,14 @@
-#include "protocol/adaptive_async.hpp"
+// Adaptive epochs — the fully asynchronous §4 restart scheme, driven as an
+// event-engine builder chain with .adaptive_epochs(clock_drift): nodes
+// restart on their own (drifting) clocks, adopt newer epochs epidemically,
+// and report one approximation per completed epoch.
+#include "sim/simulation.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "common/stats.hpp"
 #include "workload/values.hpp"
 
 namespace epiagg {
@@ -14,37 +19,52 @@ std::vector<double> uniforms(std::size_t n, std::uint64_t seed) {
   return generate_values(ValueDistribution::kUniform, n, rng);
 }
 
-AdaptiveAsyncConfig basic_config(std::size_t n, std::size_t epoch_length = 30) {
-  AdaptiveAsyncConfig config;
-  config.initial_size = n;
-  config.epoch_length = epoch_length;
-  return config;
+Simulation adaptive(const std::vector<double>& values, std::size_t epoch_length,
+                    std::uint64_t seed, double clock_drift = 0.0,
+                    double loss = 0.0) {
+  return SimulationBuilder()
+      .engine(EngineKind::kEvent)
+      .adaptive_epochs(clock_drift)
+      .epoch_length(epoch_length)
+      .failures(FailureSpec::message_loss_only(loss))
+      .workload(WorkloadSpec::from_values(values))
+      .seed(seed)
+      .build();
+}
+
+/// The approximations nodes reported on completing `epoch` (count 0 when
+/// no node has completed it yet).
+RunningStats epoch_reports(const Simulation& sim, EpochId epoch) {
+  RunningStats stats;
+  for (const AdaptiveEpochSample& sample : sim.adaptive_samples())
+    if (sample.epoch == epoch) stats.add(sample.approximation);
+  return stats;
 }
 
 TEST(AdaptiveAsync, EpochsCompleteAndConverge) {
   const auto values = uniforms(500, 1);
   const double truth = mean(values);
-  AdaptiveAsyncNetwork net(basic_config(500), values, 2);
-  net.run(95.0);  // ~3 epochs of 30 cycles
+  Simulation sim = adaptive(values, 30, 2);
+  sim.run_time(95.0);  // ~3 epochs of 30 cycles
   for (EpochId epoch = 0; epoch < 3; ++epoch) {
-    const auto summary = net.epoch_summary(epoch);
-    ASSERT_TRUE(summary.has_value()) << "epoch " << epoch;
-    EXPECT_EQ(summary->count(), 500u);
-    EXPECT_NEAR(summary->mean(), truth, 1e-4);
-    EXPECT_NEAR(summary->min(), truth, 1e-3);
-    EXPECT_NEAR(summary->max(), truth, 1e-3);
+    const RunningStats summary = epoch_reports(sim, epoch);
+    EXPECT_EQ(summary.count(), 500u) << "epoch " << epoch;
+    if (summary.count() == 0) continue;
+    EXPECT_NEAR(summary.mean(), truth, 1e-4);
+    EXPECT_NEAR(summary.min(), truth, 1e-3);
+    EXPECT_NEAR(summary.max(), truth, 1e-3);
   }
 }
 
 TEST(AdaptiveAsync, AdaptsToAttributeDrift) {
   const auto values = uniforms(300, 3);
-  AdaptiveAsyncNetwork net(basic_config(300, 25), values, 4);
-  net.run(26.0);  // epoch 0 completed
-  for (NodeId i = 0; i < 300; ++i) net.set_attribute(i, 5.0);
-  net.run(80.0);  // epochs 1-2 run on the new snapshot
-  const auto late = net.epoch_summary(2);
-  ASSERT_TRUE(late.has_value());
-  EXPECT_NEAR(late->mean(), 5.0, 1e-4);
+  Simulation sim = adaptive(values, 25, 4);
+  sim.run_time(26.0);  // epoch 0 completed
+  for (NodeId i = 0; i < 300; ++i) sim.set_value(i, 5.0);
+  sim.run_time(80.0);  // epochs 1-2 run on the new snapshot
+  const RunningStats late = epoch_reports(sim, 2);
+  ASSERT_GT(late.count(), 0u);
+  EXPECT_NEAR(late.mean(), 5.0, 1e-4);
 }
 
 TEST(AdaptiveAsync, ClockDriftIsAbsorbedByEpidemicAdoption) {
@@ -54,74 +74,74 @@ TEST(AdaptiveAsync, ClockDriftIsAbsorbedByEpidemicAdoption) {
   // truth.
   const auto values = uniforms(400, 5);
   const double truth = mean(values);
-  AdaptiveAsyncConfig config = basic_config(400);
-  config.clock_drift = 0.01;
-  AdaptiveAsyncNetwork net(config, values, 6);
-  net.run(100.0);
-  const auto summary = net.epoch_summary(1);
-  ASSERT_TRUE(summary.has_value());
+  Simulation sim = adaptive(values, 30, 6, /*clock_drift=*/0.01);
+  sim.run_time(100.0);
+  const RunningStats summary = epoch_reports(sim, 1);
   // Adoption restarts can interrupt an occasional laggard's epoch, so allow
   // a small shortfall — but the bulk must report, and accurately.
-  EXPECT_GT(summary->count(), 350u);
-  EXPECT_NEAR(summary->mean(), truth, 0.02);
+  ASSERT_GT(summary.count(), 0u);
+  EXPECT_GT(summary.count(), 350u);
+  EXPECT_NEAR(summary.mean(), truth, 0.02);
 }
 
 TEST(AdaptiveAsync, FrontierAdvances) {
-  AdaptiveAsyncNetwork net(basic_config(100, 10), uniforms(100, 7), 8);
-  EXPECT_EQ(net.frontier_epoch(), 0u);
-  net.run(35.0);
-  EXPECT_GE(net.frontier_epoch(), 3u);
+  Simulation sim = adaptive(uniforms(100, 7), 10, 8);
+  EXPECT_EQ(sim.frontier_epoch(), 0u);
+  sim.run_time(35.0);
+  EXPECT_GE(sim.frontier_epoch(), 3u);
 }
 
 TEST(AdaptiveAsync, JoinerWaitsForNextEpoch) {
   const auto values = uniforms(200, 9);
-  AdaptiveAsyncNetwork net(basic_config(200), values, 10);
-  net.run(5.0);  // mid-epoch 0
-  const NodeId rookie = net.join(100.0);  // an outlier attribute
-  EXPECT_EQ(net.size(), 201u);
-  net.run(29.0);  // still inside epoch 0 (which ends ~cycle 30)
+  Simulation sim = adaptive(values, 30, 10);
+  sim.run_time(5.0);  // mid-epoch 0
+  sim.join(100.0);    // an outlier attribute
+  EXPECT_EQ(sim.population_size(), 201u);
+  sim.run_time(29.0);  // still inside epoch 0 (which ends ~cycle 30)
   // Epoch 0 summaries must NOT include the rookie's outlier.
-  net.run(31.5);
-  const auto epoch0 = net.epoch_summary(0);
-  ASSERT_TRUE(epoch0.has_value());
-  EXPECT_LT(epoch0->max(), 2.0);
+  sim.run_time(31.5);
+  const RunningStats epoch0 = epoch_reports(sim, 0);
+  ASSERT_GT(epoch0.count(), 0u);
+  EXPECT_LT(epoch0.max(), 2.0);
   // By epoch 2 the rookie participates and shifts the average up by ~0.5.
-  net.run(95.0);
-  const auto epoch2 = net.epoch_summary(2);
-  ASSERT_TRUE(epoch2.has_value());
+  sim.run_time(95.0);
+  const RunningStats epoch2 = epoch_reports(sim, 2);
+  ASSERT_GT(epoch2.count(), 0u);
   const double expected = (mean(values) * 200.0 + 100.0) / 201.0;
-  EXPECT_NEAR(epoch2->mean(), expected, 0.02);
-  (void)rookie;
+  EXPECT_NEAR(epoch2.mean(), expected, 0.02);
 }
 
 TEST(AdaptiveAsync, MessageLossToleratedWithinEpochs) {
   const auto values = uniforms(400, 11);
-  AdaptiveAsyncConfig config = basic_config(400);
-  config.loss_probability = 0.15;
-  AdaptiveAsyncNetwork net(config, values, 12);
-  net.run(95.0);
-  const auto summary = net.epoch_summary(1);
-  ASSERT_TRUE(summary.has_value());
+  Simulation sim = adaptive(values, 30, 12, /*clock_drift=*/0.0, /*loss=*/0.15);
+  sim.run_time(95.0);
+  const RunningStats summary = epoch_reports(sim, 1);
+  ASSERT_GT(summary.count(), 0u);
   // Loss slows convergence and adds drift, but epoch results stay close.
-  EXPECT_NEAR(summary->mean(), mean(values), 0.05);
-  EXPECT_LT(summary->max() - summary->min(), 0.2);
+  EXPECT_NEAR(summary.mean(), mean(values), 0.05);
+  EXPECT_LT(summary.max() - summary.min(), 0.2);
 }
 
 TEST(AdaptiveAsync, ValidatesConfig) {
-  EXPECT_THROW(AdaptiveAsyncNetwork(basic_config(1), {1.0}, 1), ContractViolation);
-  EXPECT_THROW(AdaptiveAsyncNetwork(basic_config(3), {1.0}, 1), ContractViolation);
-  AdaptiveAsyncConfig bad = basic_config(2);
-  bad.clock_drift = 1.5;
-  EXPECT_THROW(AdaptiveAsyncNetwork(bad, {1.0, 2.0}, 1), ContractViolation);
-  AdaptiveAsyncNetwork net(basic_config(2), {1.0, 2.0}, 1);
-  EXPECT_THROW(net.attribute(5), ContractViolation);
+  EXPECT_THROW(adaptive({1.0}, 30, 1), ContractViolation);  // n < 2
+  EXPECT_THROW(SimulationBuilder()
+                   .nodes(3)
+                   .engine(EngineKind::kEvent)
+                   .adaptive_epochs()
+                   .workload(WorkloadSpec::from_values({1.0}))
+                   .build(),
+               ContractViolation);  // length mismatch
+  EXPECT_THROW(adaptive({1.0, 2.0}, 30, 1, /*clock_drift=*/1.5),
+               ContractViolation);
+  Simulation sim = adaptive({1.0, 2.0}, 30, 1);
+  EXPECT_THROW(sim.set_value(5, 1.0), ContractViolation);  // no such node
 }
 
 TEST(AdaptiveAsync, EpochSummaryEmptyForFutureEpochs) {
-  AdaptiveAsyncNetwork net(basic_config(50, 10), uniforms(50, 13), 14);
-  net.run(5.0);
-  EXPECT_FALSE(net.epoch_summary(0).has_value());  // epoch 0 not finished yet
-  EXPECT_FALSE(net.epoch_summary(99).has_value());
+  Simulation sim = adaptive(uniforms(50, 13), 10, 14);
+  sim.run_time(5.0);
+  EXPECT_EQ(epoch_reports(sim, 0).count(), 0u);  // epoch 0 not finished yet
+  EXPECT_EQ(epoch_reports(sim, 99).count(), 0u);
 }
 
 }  // namespace

@@ -7,26 +7,35 @@
 #include <memory>
 
 #include "common/stats.hpp"
-#include "protocol/network_runner.hpp"
 #include "sim/simulation.hpp"
 #include "workload/values.hpp"
 
 namespace epiagg {
 namespace {
 
+Simulation size_estimation(std::size_t n, std::size_t epoch_length,
+                           double expected_leaders,
+                           std::shared_ptr<ChurnSchedule> churn,
+                           std::uint64_t seed) {
+  return SimulationBuilder()
+      .nodes(n)
+      .protocol(ProtocolVariant::kSizeEstimation)
+      .epoch_length(epoch_length)
+      .expected_leaders(expected_leaders)
+      .failures(FailureSpec::with_churn(std::move(churn)))
+      .seed(seed)
+      .build();
+}
+
 TEST(FailureInjection, CrashBurstMidEpochBiasesOneEpochOnly) {
   // A 20% crash burst in the middle of epoch 3 removes counting mass at
   // random. Epoch 3's report may be off, but epoch 4 restarts from the
   // surviving population and must be accurate again — the self-stabilizing
   // property of the restart mechanism.
-  SizeEstimationConfig config;
-  config.initial_size = 2000;
-  config.epoch_length = 30;
-  config.expected_leaders = 6.0;
-  SizeEstimationNetwork net(config, std::make_unique<CrashBurst>(3 * 30 + 15, 400),
-                            1);
-  net.run_cycles(6 * 30);
-  const auto& reports = net.reports();
+  Simulation sim = size_estimation(
+      2000, 30, 6.0, std::make_shared<CrashBurst>(3 * 30 + 15, 400), 1);
+  sim.run_cycles(6 * 30);
+  const auto& reports = sim.epochs();
   ASSERT_EQ(reports.size(), 6u);
   // Post-burst epochs estimate the shrunken population accurately.
   for (std::size_t e = 4; e < 6; ++e) {
@@ -38,24 +47,17 @@ TEST(FailureInjection, CrashBurstMidEpochBiasesOneEpochOnly) {
 TEST(FailureInjection, CrashesNeverStallTheProtocol) {
   // Extreme fluctuation (20% of the network swapped per cycle) must not
   // break any invariant or wedge the simulation.
-  SizeEstimationConfig config;
-  config.initial_size = 500;
-  config.epoch_length = 20;
-  SizeEstimationNetwork net(config, std::make_unique<ConstantFluctuation>(100), 2);
-  net.run_cycles(100);
-  EXPECT_EQ(net.population_size(), 500u);
-  EXPECT_EQ(net.reports().size(), 5u);
+  Simulation sim = size_estimation(
+      500, 20, 4.0, std::make_shared<ConstantFluctuation>(100), 2);
+  sim.run_cycles(100);
+  EXPECT_EQ(sim.population_size(), 500u);
+  EXPECT_EQ(sim.epochs().size(), 5u);
 }
 
 TEST(FailureInjection, MassLossBiasesCountingUpward) {
   // Crashes remove instance mass; since surviving mass can only shrink, the
   // per-instance estimate 1/x̄ is biased UP relative to the surviving
   // population far more often than down. Verify the direction statistically.
-  SizeEstimationConfig config;
-  config.initial_size = 1000;
-  config.epoch_length = 30;
-  config.expected_leaders = 4.0;
-
   class CrashOnly final : public ChurnSchedule {
   public:
     ChurnAction at_cycle(std::size_t, std::size_t size) override {
@@ -64,13 +66,14 @@ TEST(FailureInjection, MassLossBiasesCountingUpward) {
   };
   int above = 0, total = 0;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    SizeEstimationNetwork net(config, std::make_unique<CrashOnly>(), 100 + seed);
-    net.run_cycles(30);
-    const EpochReport& report = net.reports().front();
+    Simulation sim =
+        size_estimation(1000, 30, 4.0, std::make_shared<CrashOnly>(), 100 + seed);
+    sim.run_cycles(30);
+    const EpochSummary& report = sim.epochs().front();
     if (report.instances == 0 || report.reporting == 0) continue;
     ++total;
     // Compare against the END population (what survived).
-    if (report.est_mean > static_cast<double>(report.size_at_end)) ++above;
+    if (report.est_mean > static_cast<double>(report.population_end)) ++above;
   }
   ASSERT_GE(total, 8);
   EXPECT_GE(above, total - 1);
@@ -124,14 +127,11 @@ TEST(FailureInjection, VarianceStillContractsUnderHeavyLoss) {
 TEST(FailureInjection, IsolatedEpochWithoutLeadersRecovers) {
   // Force expected_leaders so low that leaderless epochs happen; the network
   // must keep running and produce estimates in the epochs that do have one.
-  SizeEstimationConfig config;
-  config.initial_size = 300;
-  config.epoch_length = 25;
-  config.expected_leaders = 0.7;  // P(no leader) ≈ e^-0.7 ≈ 0.5
-  SizeEstimationNetwork net(config, std::make_unique<NoChurn>(), 7);
-  net.run_cycles(25 * 20);
+  // P(no leader) ≈ e^-0.7 ≈ 0.5 per epoch.
+  Simulation sim = size_estimation(300, 25, 0.7, nullptr, 7);
+  sim.run_cycles(25 * 20);
   std::size_t with = 0, without = 0;
-  for (const EpochReport& report : net.reports()) {
+  for (const EpochSummary& report : sim.epochs()) {
     if (report.instances == 0) {
       ++without;
       EXPECT_EQ(report.reporting, 0u);

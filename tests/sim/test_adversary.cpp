@@ -1,7 +1,7 @@
 // Determinism and invariants of the adversary subsystem: every adversary
 // model must be bit-reproducible from the master seed on BOTH engines, the
-// AttackImpactObserver must be RNG-neutral, and overlay poisoning must not
-// break the membership slot-recycling machinery under churn.
+// AttackImpactObserver must be RNG-neutral, and neither overlay poisoning
+// nor a crashed liar may survive the slot recycling of churn.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -234,7 +234,7 @@ TEST(AdversaryObservers, PoisonRunsReportCaptureRatio) {
 }
 
 // ===================================================================
-// Poisoning × churn — membership invariants survive the attack
+// Adversary × churn — roles and membership invariants survive recycling
 // ===================================================================
 
 TEST(AdversaryChurn, PoisonCannotBreakSlotRecycling) {
@@ -267,6 +267,43 @@ TEST(AdversaryChurn, PoisonCannotBreakSlotRecycling) {
     // (honest + adversarial) trails the population but never exceeds it.
     EXPECT_LE(h.honest + h.adversarial, 150u);
     EXPECT_GE(h.honest + h.adversarial, 2u);
+  }
+}
+
+TEST(AdversaryChurn, CrashedLiarsRoleDiesWithItsRecycledSlot) {
+  // Size estimation under 10% churn per cycle: a crashed liar's slot id is
+  // recycled for a joiner, who must join honest. A role that survived the
+  // crash would be handed down to every generation of joiners and pin the
+  // estimate near 1/0.5 = 2 for good; with roles cleared the liars die out
+  // with the initial population, and once it has turned over the epochs
+  // estimate the true size again.
+  for (const EngineKind engine : {EngineKind::kCycle, EngineKind::kEvent}) {
+    Simulation sim = SimulationBuilder()
+                         .nodes(400)
+                         .engine(engine)
+                         .protocol(ProtocolVariant::kSizeEstimation)
+                         .epoch_length(30)
+                         .failures(FailureSpec::with_churn(
+                             std::make_shared<ConstantFluctuation>(40)))
+                         .adversary(AdversarySpec::constant_lie(0.1, 0.5))
+                         .seed(7)
+                         .build();
+    if (engine == EngineKind::kCycle) {
+      sim.run_cycles(600);
+    } else {
+      sim.run_time(600.0);
+    }
+    ASSERT_EQ(sim.epochs().size(), 20u) << to_string(engine);
+    std::size_t checked = 0;
+    for (std::size_t e = 10; e < sim.epochs().size(); ++e) {
+      const EpochSummary& summary = sim.epochs()[e];
+      if (summary.instances == 0 || summary.reporting == 0) continue;
+      const auto size = static_cast<double>(summary.population_start);
+      EXPECT_GT(summary.est_mean, size / 2.0) << to_string(engine) << " epoch " << e;
+      EXPECT_LT(summary.est_mean, size * 2.0) << to_string(engine) << " epoch " << e;
+      ++checked;
+    }
+    EXPECT_GE(checked, 8u) << to_string(engine);
   }
 }
 

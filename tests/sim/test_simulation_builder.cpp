@@ -240,11 +240,6 @@ TEST(SimulationBuilder, EventEngineAcceptsChurnEpochsAndSizeEstimation) {
 TEST(SimulationBuilder, SizeEstimationKnobsRejectedElsewhere) {
   expect_build_failure(SimulationBuilder().nodes(100).expected_leaders(4.0),
                        "kSizeEstimation only");
-  expect_build_failure(SimulationBuilder()
-                           .nodes(100)
-                           .protocol(ProtocolVariant::kPushSum)
-                           .initial_estimate(100.0),
-                       "kSizeEstimation only");
 }
 
 TEST(SimulationBuilder, CycleEngineRejectsAsynchronySpecs) {
