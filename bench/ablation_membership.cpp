@@ -16,7 +16,8 @@
 // Every row is the same SimulationBuilder chain with only the
 // MembershipSpec/TopologySpec swapped. The live column quantifies how much
 // of the snapshot artifact (Newscast's frozen-view clustering) the evolving
-// overlay buys back.
+// overlay buys back. The shape checks at the end of main() make a wrong
+// table exit non-zero.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -59,11 +60,9 @@ OverlayQuality quality(const Graph& overlay) {
 }
 
 /// Geometric-mean per-cycle variance factor of a built simulation.
-double averaging_factor(Simulation& sim, int cycles,
-                        epiagg::benchutil::PerfTracker& perf) {
+double averaging_factor(Simulation& sim, int cycles) {
   const double before = sim.variance();
   sim.run_cycles(cycles);
-  perf.add_cycles(static_cast<double>(cycles));
   return std::pow(sim.variance() / before, 1.0 / cycles);
 }
 
@@ -84,9 +83,9 @@ int main() {
   std::printf("%-10s %-9s %-9s %-11s %-10s %-10s %-10s\n", "substrate",
               "mean-in", "max-in", "clustering", "connected", "snapshot",
               "live");
-  epiagg::benchutil::PerfTracker perf("ablation_membership");
 
   // --- uniform ideal: the complete topology, SEQ sweep ---
+  double uniform_factor = 0.0;
   {
     Simulation sim =
         SimulationBuilder()
@@ -95,9 +94,9 @@ int main() {
                 WorkloadSpec::from_distribution(ValueDistribution::kNormal))
             .seed(0xAB1A'8)
             .build();
-    const double factor = averaging_factor(sim, cycles, perf);
+    uniform_factor = averaging_factor(sim, cycles);
     std::printf("%-10s %-9.1f %-9.0f %-11.4f %-10s %-10.4f %-10s\n", "uniform",
-                20.0, 20.0, 20.0 / static_cast<double>(n), "yes", factor, "-");
+                20.0, 20.0, 20.0 / static_cast<double>(n), "yes", uniform_factor, "-");
   }
 
   // --- peer-sampled overlays: frozen snapshot vs live co-run ---
@@ -110,6 +109,11 @@ int main() {
       {"newscast", MembershipSpec::newscast(20, warmup), 0x17},
       {"cyclon", MembershipSpec::cyclon(20, 8, warmup), 0x18},
   };
+  struct Outcome {
+    bool connected;
+    double snapshot_factor, live_factor;
+  };
+  std::vector<Outcome> outcomes;
   for (const Substrate& substrate : substrates) {
     auto build = [&](MembershipSpec spec) {
       return SimulationBuilder()
@@ -124,16 +128,15 @@ int main() {
         dynamic_cast<const GraphTopology*>(snapshot.topology().get());
     EPIAGG_EXPECTS(overlay != nullptr, "membership composes a graph overlay");
     const OverlayQuality q = quality(overlay->graph());
-    const double snapshot_factor = averaging_factor(snapshot, cycles, perf);
+    const double snapshot_factor = averaging_factor(snapshot, cycles);
 
     Simulation live = build(substrate.spec);
-    const double live_factor = averaging_factor(live, cycles, perf);
+    const double live_factor = averaging_factor(live, cycles);
     std::printf("%-10s %-9.1f %-9.0f %-11.4f %-10s %-10.4f %-10.4f\n",
                 substrate.name, q.mean_in, q.max_in, q.clustering,
                 q.connected ? "yes" : "NO", snapshot_factor, live_factor);
+    outcomes.push_back({q.connected, snapshot_factor, live_factor});
   }
-
-  perf.finish();
 
   std::printf("\ntheory anchor (uniform, SEQ): 1/(2*sqrt(e)) = %.4f\n",
               theory::rate_sequential());
@@ -146,5 +149,20 @@ int main() {
   std::printf("closes that gap: both live columns sit near the uniform\n");
   std::printf("ideal — the paper's random-overlay assumption holds for the\n");
   std::printf("evolving overlay, not its frozen snapshot.\n");
-  return 0;
+
+  constexpr double kLiveBand = 0.15;
+  epiagg::benchutil::ShapeCheck shape;
+  for (std::size_t s = 0; s < outcomes.size(); ++s) {
+    const Outcome& o = outcomes[s];
+    shape.check(o.connected, "%s: warmed overlay connected (%s)", substrates[s].name,
+                o.connected ? "yes" : "NO");
+    shape.check(std::abs(o.live_factor / uniform_factor - 1.0) <= kLiveBand,
+                "%s: live/uniform factor %.3f within %.2f of 1", substrates[s].name,
+                o.live_factor / uniform_factor, kLiveBand);
+  }
+  const Outcome& newscast = outcomes[0];
+  shape.check(newscast.live_factor < newscast.snapshot_factor,
+              "newscast: live factor %.4f < snapshot factor %.4f",
+              newscast.live_factor, newscast.snapshot_factor);
+  return shape.finish();
 }

@@ -8,9 +8,12 @@
 // final mean error on a worst-case (peak) initial distribution. Every row's
 // independent runs are fanned across cores by SweepRunner (one forked RNG
 // stream per run; byte-identical for any thread count).
+// The shape checks at the end of main() make a wrong table exit non-zero.
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 #include "bench_util.hpp"
@@ -38,7 +41,9 @@ int main(int argc, char** argv) {
   std::printf("%-8s %-16s %-16s %-14s %-12s\n", "loss", "factor/cycle",
               "variance@t10", "mean-drift", "msgs lost");
 
-  epiagg::benchutil::PerfTracker perf("ablation_message_loss");
+  // Read off the rows for the shape checks; drop_at_20 = variance@t10 / initial.
+  double loss0_factor = 0.0, previous = 0.0, drop_at_20 = 0.0;
+  double smallest_rise = std::numeric_limits<double>::infinity(), worst_lost_off = 0.0;
   for (const double loss : {0.0, 0.05, 0.10, 0.20, 0.40}) {
     SweepRunner sweep(
         SweepSpec{static_cast<std::size_t>(runs), threads,
@@ -58,31 +63,54 @@ int main(int argc, char** argv) {
       RunningStats per_cycle;
       for (std::size_t i = 1; i < samples.size(); ++i)
         per_cycle.add(samples[i].variance / samples[i - 1].variance);
-      return std::array<double, 4>{
+      return std::array<double, 5>{
           per_cycle.mean(), samples.back().variance,
           std::abs(samples.back().mean - 1.0),
           static_cast<double>(sim.messages_lost()) /
-              static_cast<double>(sim.messages_sent())};
+              static_cast<double>(sim.messages_sent()),
+          samples.front().variance};
     });
-    perf.add_cycles(static_cast<double>(runs) * horizon);
-    RunningStats factor, final_variance, drift, lost;
+    RunningStats factor, final_variance, drift, lost, initial_variance;
     for (const auto& row : rows) {
       factor.add(row[0]);
       final_variance.add(row[1]);
       drift.add(row[2]);
       lost.add(row[3]);
+      initial_variance.add(row[4]);
     }
     std::printf("%-8.2f %-16.4f %-16.3e %-14.4f %-12.3f\n", loss, factor.mean(),
                 final_variance.mean(), drift.mean(), lost.mean());
+    if (loss == 0.0) loss0_factor = factor.mean();
+    if (loss > 0.0) smallest_rise = std::min(smallest_rise, factor.mean() - previous);
+    if (loss == 0.20) drop_at_20 = final_variance.mean() / initial_variance.mean();
+    previous = factor.mean();
+    worst_lost_off = std::max(worst_lost_off, std::abs(lost.mean() - loss));
   }
-
-  perf.finish();
 
   std::printf("\ntheory anchor at loss=0: seq rate 1/(2*sqrt(e)) = %.4f\n",
               theory::rate_sequential());
   std::printf("expected shape: factor rises (slower convergence) roughly\n");
   std::printf("linearly in loss; variance still contracts by orders of\n");
-  std::printf("magnitude at 20%% loss; mean drift grows with loss — gossip\n");
-  std::printf("degrades gracefully instead of failing outright.\n");
-  return 0;
+  std::printf("magnitude at 20%% loss — gossip degrades gracefully instead\n");
+  std::printf("of failing outright. Any loss makes the mean drift, by an\n");
+  std::printf("amount that hinges on which exchanges carried the peak's\n");
+  std::printf("mass, so the drift column is not monotone in loss.\n");
+
+  constexpr double kTheoryBand = 0.025;
+  constexpr double kVarianceDrop = 0.01;
+  constexpr double kLostBand = 0.01;
+  epiagg::benchutil::ShapeCheck shape;
+  shape.check(smallest_rise > 0.0,
+              "factor strictly rises with loss: smallest rise %+.4f > 0",
+              smallest_rise);
+  shape.check(std::abs(loss0_factor - theory::rate_sequential()) <= kTheoryBand,
+              "loss 0: factor %.4f within %.3f of %.4f", loss0_factor, kTheoryBand,
+              theory::rate_sequential());
+  shape.check(drop_at_20 <= kVarianceDrop,
+              "loss 0.20: variance@t10 / initial = %.2e <= %.2f", drop_at_20,
+              kVarianceDrop);
+  shape.check(worst_lost_off <= kLostBand,
+              "every row: worst |msgs lost - loss| = %.3f <= %.2f", worst_lost_off,
+              kLostBand);
+  return shape.finish();
 }

@@ -12,6 +12,7 @@
 // Gossip runs are SimulationBuilder chains; each run's 20-out overlay is
 // composed inside the builder and extracted via sim.topology() so the tree
 // baseline converge-casts over the very same graph and value vector.
+// The shape checks at the end of main() make a wrong table exit non-zero.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -47,8 +48,6 @@ int main() {
   const double epsilon = 1e-3;  // 0.1% worst-node relative accuracy
   auto rng = std::make_shared<Rng>(0xAB1A'4);
 
-  epiagg::benchutil::PerfTracker perf("ablation_tree_vs_gossip");
-
   // ---------- (1) reliable network: cost to epsilon-accuracy ----------
   RunningStats gossip_cycles, gossip_messages;
   RunningStats tree_rounds, tree_messages;
@@ -73,7 +72,6 @@ int main() {
         worst = std::max(worst, std::abs(x - truth) / std::max(1e-300, truth));
       if (worst <= epsilon) break;
     }
-    perf.add_cycles(static_cast<double>(cycles));
     gossip_cycles.add(static_cast<double>(cycles));
     gossip_messages.add(static_cast<double>(cycles) * 2.0 * n);  // push + pull
 
@@ -118,7 +116,6 @@ int main() {
     tree_coverage.add(static_cast<double>(lossy.informed) / n);
 
     sim.run_time(15.0);
-    perf.add_cycles(15.0);
     // Mean node error vs the true average after 15 cycles of lossy gossip.
     gossip_err.add(std::abs(sim.mean() - truth) / truth +
                    std::sqrt(sim.variance()) / truth);
@@ -130,13 +127,24 @@ int main() {
   std::printf("%-10s %-18.4f %-20s\n", "gossip", gossip_err.mean(),
               "1.000 (all, by design)");
 
-  perf.finish();
-
   std::printf("\nexpected shape: on a reliable network the tree wins on raw\n");
   std::printf("message count (2(N-1) vs ~2N*log(1/eps)) but answers at one\n");
   std::printf("node after 2*depth rounds. Under 10%% loss the tree's result\n");
-  std::printf("reaches only ~60%% of the nodes (dropped subtrees also bias the\n");
-  std::printf("root's average), while gossip informs every node by design and\n");
-  std::printf("keeps the error at the per-mille level.\n");
-  return 0;
+  std::printf("reaches under 90%% of the nodes (dropped subtrees also bias\n");
+  std::printf("the root's average), while gossip informs every node by design\n");
+  std::printf("and keeps the error at the per-mille level.\n");
+
+  constexpr double kTreeCoverage = 0.9;
+  constexpr double kGossipError = 0.01;
+  epiagg::benchutil::ShapeCheck shape;
+  shape.check(tree_messages.mean() < gossip_messages.mean(),
+              "reliable: tree messages %.0f < gossip messages %.0f",
+              tree_messages.mean(), gossip_messages.mean());
+  shape.check(tree_coverage.mean() < kTreeCoverage,
+              "10%% loss: tree informs %.3f of the nodes < %.2f", tree_coverage.mean(),
+              kTreeCoverage);
+  shape.check(gossip_err.mean() < kGossipError,
+              "10%% loss: gossip rel. error %.4f < %.2f", gossip_err.mean(),
+              kGossipError);
+  return shape.finish();
 }

@@ -7,7 +7,9 @@
 // sweeps message latency to show when the zero-communication-time assumption
 // starts to matter. The independent runs of every row are fanned across
 // cores by SweepRunner (one forked RNG stream per run; byte-identical for
-// any thread count).
+// any thread count). The shape checks at the end of main() make a wrong table
+// exit non-zero.
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -72,9 +74,9 @@ int main(int argc, char** argv) {
   std::printf("%-14s %-12s %-10s\n", "waiting", "latency", "factor");
 
   std::uint64_t row_seed = 0xFACE;
-  epiagg::benchutil::PerfTracker perf("ablation_waiting_time");
+  std::vector<double> factors;  // one per row, in print order
   const auto track = [&](double factor) {
-    perf.add_cycles(static_cast<double>(runs) * horizon);
+    factors.push_back(factor);
     return factor;
   };
   std::printf("%-14s %-12s %-10.4f\n", "constant", "0",
@@ -104,13 +106,31 @@ int main(int argc, char** argv) {
                                     runs, horizon, threads, ++row_seed,
                                     /*churn_rate=*/n / 200)));
 
-  perf.finish();
-
   std::printf("\ntheory anchors: seq 1/(2*sqrt(e)) = %.4f, rand 1/e = %.4f\n",
               theory::rate_sequential(), theory::rate_random_edge());
   std::printf("expected shape: constant waiting sits at the seq rate;\n");
   std::printf("exponential waiting drifts toward the rand rate; small\n");
   std::printf("latencies (<5%% of a cycle) barely move the factor, larger\n");
   std::printf("ones slow convergence (exchanges overlap and reorder).\n");
-  return 0;
+
+  constexpr double kTheoryBand = 0.025;
+  constexpr double kExponentialLow = 0.283, kExponentialHigh = 0.388;
+  constexpr double kSmallLatencyBand = 0.01;
+  const double seq = theory::rate_sequential();
+  const double constant = factors[0], exponential = factors[1];
+  const double latency_001 = factors[2], latency_020 = factors[4];
+  epiagg::benchutil::ShapeCheck shape;
+  shape.check(std::abs(constant - seq) <= kTheoryBand,
+              "constant, latency 0: factor %.4f within %.3f of %.4f", constant,
+              kTheoryBand, seq);
+  shape.check(exponential >= kExponentialLow && exponential <= kExponentialHigh,
+              "exponential, latency 0: factor %.4f in [%.3f, %.3f]", exponential,
+              kExponentialLow, kExponentialHigh);
+  shape.check(latency_020 > constant,
+              "constant, latency 0.20: factor %.4f > latency 0's %.4f", latency_020,
+              constant);
+  shape.check(std::abs(latency_001 - constant) <= kSmallLatencyBand,
+              "constant, latency 0.01: factor %.4f within %.2f of latency 0's %.4f",
+              latency_001, kSmallLatencyBand, constant);
+  return shape.finish();
 }

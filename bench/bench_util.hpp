@@ -1,33 +1,30 @@
 // Shared plumbing for the figure/table regeneration binaries.
 //
-// Every bench honors EPIAGG_BENCH_SCALE:
-//   full  (default) — the paper's parameters (N up to 100 000, 50 runs)
-//   quick           — ~10x smaller, for smoke runs and CI
-// EPIAGG_QUICK=1 is an accepted shorthand for EPIAGG_BENCH_SCALE=quick.
+// Every bench honors EPIAGG_QUICK:
+//   unset (default) — the paper's parameters (N up to 100 000, 50 runs)
+//   EPIAGG_QUICK=1  — ~10x smaller, for smoke runs, ctest and CI
+// Any other value runs the full scale.
 #pragma once
 
 #include <chrono>
+#include <cstdarg>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
-#include <utility>
 
 #include "common/cli.hpp"
-#include "common/data_export.hpp"
 
 namespace epiagg::benchutil {
 
-/// True when EPIAGG_BENCH_SCALE=quick (or the EPIAGG_QUICK=1 shorthand).
-/// The environment is read once and cached: scaled() sits inside bench
-/// parameter lists and sweep loops, and getenv walks the environ array on
-/// every call.
+/// True when EPIAGG_QUICK=1. The environment is read once and cached:
+/// scaled() sits inside bench parameter lists and sweep loops, and getenv
+/// walks the environ array on every call.
 inline bool quick_mode() {
   static const bool quick = [] {
-    const char* scale = std::getenv("EPIAGG_BENCH_SCALE");
-    if (scale != nullptr && std::strcmp(scale, "quick") == 0) return true;
-    const char* shorthand = std::getenv("EPIAGG_QUICK");
-    return shorthand != nullptr && std::strcmp(shorthand, "1") == 0;
+    const char* flag = std::getenv("EPIAGG_QUICK");
+    return flag != nullptr && std::strcmp(flag, "1") == 0;
   }();
   return quick;
 }
@@ -77,37 +74,33 @@ private:
   std::chrono::steady_clock::time_point started_;
 };
 
-/// Uniform perf-trajectory tracking for the figure/table/ablation binaries:
-/// times the whole run, accumulates the protocol cycles executed, and on
-/// finish() writes BENCH_<name>.json ({cycles, wall_seconds, cycles_per_sec,
-/// quick}) via export_bench_json — never inert, so every run leaves a
-/// machine-readable perf row. scripts/bench_diff.py compares the produced
-/// files against the committed bench/baselines/*.json and fails CI on a
-/// >25% cycles/sec regression.
-///
-/// Count cycles from the main thread only (add the nominal cycle total of a
-/// sweep after SweepRunner::run returns); the tracker is not thread-safe.
-class PerfTracker {
+/// A paper bench's answer gate: check() prints one claim about the bench's
+/// output as one line (a printf format showing the measured value and its
+/// band); finish() prints the verdict and returns main()'s exit code.
+class ShapeCheck {
 public:
-  explicit PerfTracker(std::string name) : name_(std::move(name)) {}
+  [[gnu::format(printf, 3, 4)]] void check(bool holds, const char* claim, ...) {
+    if (claims_ == 0) std::printf("\n");
+    std::printf("  %-4s ", holds ? "ok" : "MISS");
+    std::va_list args;
+    va_start(args, claim);
+    std::vprintf(claim, args);
+    va_end(args);
+    std::printf("\n");
+    ++claims_;
+    if (!holds) ++misses_;
+  }
 
-  /// Records `cycles` protocol cycles toward the run's throughput metric.
-  void add_cycles(double cycles) { cycles_ += cycles; }
-
-  /// Writes BENCH_<name>.json; call once at the end of main(). Returns true
-  /// if the file was written.
-  bool finish() const {
-    const double wall = timer_.seconds();
-    DataTable table({"cycles", "wall_seconds", "cycles_per_sec", "quick"});
-    table.add_row({cycles_, wall, wall > 0.0 ? cycles_ / wall : 0.0,
-                   quick_mode() ? 1.0 : 0.0});
-    return export_bench_json(table, "BENCH_" + name_);
+  /// 0 when every claim held, 1 otherwise.
+  [[nodiscard]] int finish() const {
+    const bool pass = claims_ > 0 && misses_ == 0;
+    std::printf("shape check: %s — %zu of %zu claims hold\n", pass ? "PASS" : "FAIL",
+                claims_ - misses_, claims_);
+    return pass ? 0 : 1;
   }
 
 private:
-  std::string name_;
-  wall_timer timer_;
-  double cycles_ = 0.0;
+  std::size_t claims_ = 0, misses_ = 0;
 };
 
 /// Prints the standard bench header with reproduction context.
@@ -116,8 +109,9 @@ inline void print_header(const char* experiment_id, const char* description) {
   std::printf("%s — %s\n", experiment_id, description);
   std::printf("paper: Jelasity & Montresor, \"Epidemic-Style Proactive\n");
   std::printf("       Aggregation in Large Overlay Networks\", ICDCS 2004\n");
-  std::printf("scale: %s (set EPIAGG_BENCH_SCALE=quick for a fast pass)\n",
-              quick_mode() ? "quick" : "full");
+  std::printf("scale: %s\n", quick_mode()
+                                 ? "quick (EPIAGG_QUICK=1)"
+                                 : "full (set EPIAGG_QUICK=1 for a fast pass)");
   std::printf("==============================================================\n");
 }
 

@@ -8,6 +8,9 @@
 // Every cell is one SweepRunner fan-out of independent SimulationBuilder
 // chains: each run owns a forked RNG stream, so the regenerated numbers are
 // byte-identical for any --threads value (0 = hardware_concurrency).
+// The shape checks at the end of main() make a wrong figure exit non-zero.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -66,8 +69,13 @@ int main(int argc, char** argv) {
   std::printf("%9s  %-14s %-14s %-14s %-14s\n", "N", "rand,complete",
               "rand,20-out", "seq,complete", "seq,20-out");
 
+  constexpr NodeId kTheoryFromN = 1000;  // smaller N sit further off, as in the paper
+  constexpr double kTheoryBand = 0.02;
+  const double rand_theory = epiagg::theory::rate_random_edge();
+  const double seq_theory = epiagg::theory::rate_sequential();
+  double rand_off = 0.0, seq_off = 0.0, rand_over_seq = 1.0;
+
   std::uint64_t cell_seed = 0xF16'3A;
-  epiagg::benchutil::PerfTracker perf("fig3a");
   DataTable data({"n", "rand_complete", "rand_20out", "seq_complete",
                   "seq_20out", "theory_rand", "theory_seq"});
   for (const NodeId n : sizes) {
@@ -84,15 +92,32 @@ int main(int argc, char** argv) {
     data.add_row({static_cast<double>(n), rand_complete, rand_sparse,
                   seq_complete, seq_sparse, epiagg::theory::rate_random_edge(),
                   epiagg::theory::rate_sequential()});
-    perf.add_cycles(4.0 * runs);  // 4 cells x runs x 1 cycle each
+    if (n >= kTheoryFromN) {
+      rand_off = std::max({rand_off, std::abs(rand_complete - rand_theory),
+                           std::abs(rand_sparse - rand_theory)});
+      seq_off = std::max({seq_off, std::abs(seq_complete - seq_theory),
+                          std::abs(seq_sparse - seq_theory)});
+    }
+    rand_over_seq = std::min(rand_over_seq, std::min(rand_complete, rand_sparse) -
+                                                std::max(seq_complete, seq_sparse));
   }
   export_table(data, "fig3a_variance_reduction");
-  perf.finish();
 
   std::printf("\ntheory (dotted lines in the paper):\n");
   std::printf("  getPair_rand: 1/e      = %.4f\n", epiagg::theory::rate_random_edge());
   std::printf("  getPair_seq : 1/(2√e)  = %.4f\n", epiagg::theory::rate_sequential());
   std::printf("expected shape: curves flat in N; rand near 1/e; seq at or\n");
   std::printf("slightly below 1/(2√e); 20-out within noise of complete.\n");
-  return 0;
+
+  epiagg::benchutil::ShapeCheck shape;
+  shape.check(rand_off <= kTheoryBand,
+              "rand cells, N >= %u: worst |factor - %.4f| = %.4f <= %.2f", kTheoryFromN,
+              rand_theory, rand_off, kTheoryBand);
+  shape.check(seq_off <= kTheoryBand,
+              "seq cells, N >= %u: worst |factor - %.4f| = %.4f <= %.2f", kTheoryFromN,
+              seq_theory, seq_off, kTheoryBand);
+  shape.check(rand_over_seq > 0.0,
+              "every row: smallest rand cell - largest seq cell = %.4f > 0",
+              rand_over_seq);
+  return shape.finish();
 }

@@ -9,7 +9,9 @@
 //
 // Expected shape (paper): complete-topology curves flat at the theory rates;
 // the random-topology curves drift slightly upward over cycles (correlation
-// accumulation), with seq less sensitive than rand.
+// accumulation), with seq less sensitive than rand. The shape checks at the
+// end of main() make a wrong figure exit non-zero.
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -30,6 +32,7 @@ struct Curve {
   PairStrategy strategy;
   bool complete;
   std::vector<RunningStats> per_cycle;
+  RunningStats column{};  ///< the per-cycle means, over every cycle
 };
 
 }  // namespace
@@ -58,7 +61,6 @@ int main(int argc, char** argv) {
   for (auto& curve : curves) curve.per_cycle.resize(cycles);
 
   std::uint64_t curve_seed = 0xF16'3B;
-  epiagg::benchutil::PerfTracker perf("fig3b");
   for (auto& curve : curves) {
     SweepRunner sweep(
         SweepSpec{static_cast<std::size_t>(runs), threads, ++curve_seed});
@@ -85,7 +87,6 @@ int main(int argc, char** argv) {
     });
     for (const auto& factors : factor_traces)
       for (int c = 0; c < cycles; ++c) curve.per_cycle[c].add(factors[c]);
-    perf.add_cycles(static_cast<double>(runs) * cycles);
   }
 
   std::printf("%5s  %-14s %-14s %-14s %-14s\n", "cycle", curves[0].name,
@@ -93,6 +94,7 @@ int main(int argc, char** argv) {
   DataTable data({"cycle", "rand_complete", "rand_20out", "seq_complete",
                   "seq_20out"});
   for (int c = 0; c < cycles; ++c) {
+    for (auto& curve : curves) curve.column.add(curve.per_cycle[c].mean());
     std::printf("%5d  %-14.4f %-14.4f %-14.4f %-14.4f\n", c + 1,
                 curves[0].per_cycle[c].mean(), curves[1].per_cycle[c].mean(),
                 curves[2].per_cycle[c].mean(), curves[3].per_cycle[c].mean());
@@ -101,7 +103,6 @@ int main(int argc, char** argv) {
                   curves[3].per_cycle[c].mean()});
   }
   export_table(data, "fig3b_cycle_reduction");
-  perf.finish();
 
   std::printf("\ntheory: rand 1/e = %.4f, seq 1/(2*sqrt(e)) = %.4f\n",
               epiagg::theory::rate_random_edge(),
@@ -109,5 +110,20 @@ int main(int argc, char** argv) {
   std::printf("expected shape: complete-topology columns flat at theory; the\n");
   std::printf("20-out columns drift mildly upward across cycles, seq less\n");
   std::printf("than rand (late cycles are noisy: variance is ~1e-13 by then).\n");
-  return 0;
+
+  constexpr double kTheoryBand = 0.015;
+  epiagg::benchutil::ShapeCheck shape;
+  for (std::size_t c = 0; c < curves.size(); c += 2) {  // {complete, 20-out} pairs
+    const Curve& complete = curves[c];
+    const Curve& sparse = curves[c + 1];
+    const double theory = c == 0 ? epiagg::theory::rate_random_edge()
+                                 : epiagg::theory::rate_sequential();
+    const double mean = complete.column.mean();
+    shape.check(std::abs(mean - theory) <= kTheoryBand,
+                "%s: column mean %.4f within %.3f of %.4f", complete.name, mean,
+                kTheoryBand, theory);
+    shape.check(sparse.column.mean() >= mean, "%s: column mean %.4f >= %s's %.4f",
+                sparse.name, sparse.column.mean(), complete.name, mean);
+  }
+  return shape.finish();
 }

@@ -56,7 +56,6 @@ int main() {
   std::printf("E[leaders] = %.1f concurrent counting instances per epoch\n\n",
               expected_leaders);
 
-  epiagg::benchutil::PerfTracker perf("fig4");
   auto log = std::make_shared<EpochLog>();
   Simulation sim =
       SimulationBuilder()
@@ -70,7 +69,6 @@ int main() {
           .seed(0xF16'4)
           .build();
   sim.run_cycles(total_cycles);
-  perf.add_cycles(static_cast<double>(total_cycles));
 
   std::printf("%6s %6s %10s %10s | %10s %10s %10s %6s %5s\n", "cycle", "epoch",
               "size@start", "size@end", "est_min", "est_mean", "est_max",
@@ -98,16 +96,17 @@ int main() {
                   r.est_max, static_cast<double>(r.reporting),
                   static_cast<double>(r.instances)});
   }
-  const bool shape_holds = checked > 0 && misses == 0;
-  std::printf("shape check: %s — %zu of %zu epochs with est_mean within "
-              "%.0f%% of size@start (worst %.1f%%)\n",
-              shape_holds ? "PASS" : "FAIL", checked - misses, checked,
-              kShapeTolerance * 100.0, worst * 100.0);
   export_table(data, "fig4_size_estimation");
-  perf.finish();
 
   std::printf("\nexpected shape: est_mean tracks size@start (i.e. the actual\n");
   std::printf("size translated by one epoch); error bars (est_min..est_max)\n");
   std::printf("are tight because every epoch converges for ~30 cycles.\n");
-  return shape_holds ? 0 : 1;
+
+  epiagg::benchutil::ShapeCheck shape;
+  shape.check(checked > 0 && misses == 0,
+              "%zu of %zu epochs with est_mean within %.0f%% of size@start "
+              "(worst %.1f%%)",
+              checked - misses, checked, kShapeTolerance * 100.0,
+              worst * 100.0);
+  return shape.finish();
 }

@@ -20,8 +20,10 @@
 // Cells a combination cannot express (poisoning needs a live overlay;
 // robust combine replaces the push–pull step only) print "n/a".
 //
-// The headline check, enforced at exit: median-of-k must reduce the
-// value-lie estimate error versus plain pairwise averaging.
+// The checks, enforced at exit: median-of-k must reduce the value-lie
+// estimate error versus plain pairwise averaging, and in both push–pull rows
+// poisoning must capture part of the overlay while the healed partition
+// re-converges.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -80,8 +82,6 @@ int main() {
               "%.0f%% adversarial nodes, lie = %.0f\n\n",
               n, cycles, epochs, epoch_len, fraction * 100.0, lie);
 
-  epiagg::benchutil::PerfTracker perf("robustness");
-
   struct AdvCase {
     const char* name;
     AdversarySpec spec;
@@ -116,7 +116,6 @@ int main() {
     if (instrumented) builder.observe(impact);
     Simulation sim = builder.build();
     sim.run_cycles(cycles);
-    perf.add_cycles(static_cast<double>(cycles));
     Cell cell;
     if (instrumented) {
       const AttackImpact& last = impact->history().back();
@@ -140,7 +139,6 @@ int main() {
     if (adv.enabled()) builder.adversary(adv).observe(impact);
     Simulation sim = builder.build();
     sim.run_cycles(cycles);
-    perf.add_cycles(static_cast<double>(cycles));
     Cell cell;
     if (adv.enabled()) {
       cell.error = impact->history().back().estimate_error;
@@ -163,7 +161,6 @@ int main() {
     if (adv.enabled()) builder.adversary(adv);
     Simulation sim = builder.build();
     sim.run_cycles(epoch_len * epochs);
-    perf.add_cycles(static_cast<double>(epoch_len * epochs));
     Cell cell;
     for (auto it = sim.epochs().rbegin(); it != sim.epochs().rend(); ++it) {
       if (it->reporting > 0) {
@@ -177,6 +174,7 @@ int main() {
   DataTable table({"protocol", "adversary", "mitigation", "estimate_error",
                    "capture_ratio"});
   double lie_plain = -1.0, lie_mitigated = -1.0;
+  Cell poisoned[2], partitioned[2];  // push–pull, per mitigation
 
   std::printf("%-22s %-13s", "row", "mitigation");
   for (const AdvCase& adv : adversaries) std::printf(" %-12s", adv.name);
@@ -204,13 +202,14 @@ int main() {
         if (p == 0 && a == 1) {
           (m == 0 ? lie_plain : lie_mitigated) = cell.error;
         }
+        if (p == 0 && a == 2) poisoned[m] = cell;
+        if (p == 0 && a == 3) partitioned[m] = cell;
       }
       std::printf("\n");
     }
   }
 
   export_table(table, "robustness_scorecard");
-  perf.finish();
 
   std::printf("\nexpected shape: value-lie wrecks plain push-pull (error of\n");
   std::printf("order the lie's pull) while median-of-k holds the honest\n");
@@ -219,17 +218,19 @@ int main() {
   std::printf("network heals with %zu cycles left to re-converge.\n",
               cycles - 15);
 
-  if (!(lie_mitigated >= 0.0 && lie_plain >= 0.0 &&
-        lie_mitigated < lie_plain)) {
-    std::fprintf(stderr,
-                 "FAIL: median-of-k did not reduce the value-lie error "
-                 "(plain %.4f vs mitigated %.4f)\n",
-                 lie_plain, lie_mitigated);
-    return 1;
-  }
-  std::printf("\nPASS: median-of-k cut the value-lie error %.4f -> %.4f "
-              "(%.1fx)\n",
-              lie_plain, lie_mitigated,
+  constexpr double kPartitionBand = 0.02;
+  epiagg::benchutil::ShapeCheck shape;
+  shape.check(lie_mitigated >= 0.0 && lie_plain >= 0.0 && lie_mitigated < lie_plain,
+              "push-pull value-lie: median-of-k error %.4f < plain %.4f (%.1fx cut)",
+              lie_mitigated, lie_plain,
               lie_mitigated > 0.0 ? lie_plain / lie_mitigated : 0.0);
-  return 0;
+  for (std::size_t m = 0; m < 2; ++m) {
+    shape.check(poisoned[m].capture > 0.0,
+                "push-pull %s, overlay-poison: capture ratio %.2f > 0",
+                mitigations[m].name, poisoned[m].capture);
+    shape.check(partitioned[m].error >= 0.0 && partitioned[m].error <= kPartitionBand,
+                "push-pull %s, partition: error %.4f <= %.2f", mitigations[m].name,
+                partitioned[m].error, kPartitionBand);
+  }
+  return shape.finish();
 }

@@ -6,6 +6,8 @@
 // topology; the Theorem-1 s-vector (s_0 = a_0², quartered on every exchange)
 // co-evolves on the exact pair draws of the run via the observer pipeline's
 // on_exchange hook instead of a bespoke model.
+// The shape checks at the end of main() make a wrong table exit non-zero.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -61,7 +63,9 @@ int main() {
   const int runs = scaled(50, 10);
   auto rng = std::make_shared<Rng>(0x7AB1E);
 
-  epiagg::benchutil::PerfTracker perf("table_convergence_rates");
+  constexpr double kRatioBand = 0.03;
+  constexpr double kTargetRatio = 1e-3;
+  double worst_ratio_off = 0.0;
   const Row rows[] = {
       {PairStrategy::kPerfectMatching, theory::kRatePerfectMatching},
       {PairStrategy::kRandomEdge, theory::rate_random_edge()},
@@ -88,7 +92,6 @@ int main() {
       const double v_before = sim.variance();
       const double s_before = s_vector->s_mean();
       sim.run_cycle();
-      perf.add_cycles(1.0);
       factor.add(sim.variance() / v_before);
       s_factor.add(s_vector->s_mean() / s_before);
     }
@@ -96,6 +99,8 @@ int main() {
                 std::string(to_string(row.strategy)).c_str(), row.analytic,
                 factor.mean(), ci_halfwidth(factor), s_factor.mean(),
                 factor.mean() / row.analytic);
+    worst_ratio_off =
+        std::max(worst_ratio_off, std::abs(factor.mean() / row.analytic - 1.0));
   }
 
   // The paper's efficiency claim.
@@ -113,16 +118,21 @@ int main() {
             .build();
     const double before = sim.variance();
     sim.run_cycles(7);
-    perf.add_cycles(7.0);
     seven_cycle.add(sim.variance() / before);
   }
   std::printf("  measured after 7 cycles: sigma2_7/sigma2_0 = %.2e (target <= 1e-3)\n",
               seven_cycle.mean());
 
-  perf.finish();
-
   std::printf("\nexpected shape: measured within ~2%% of analytic for pm/rand/\n");
   std::printf("pmrand; seq slightly BELOW its bound (the paper observes the\n");
   std::printf("same); s-vector column matches Theorem 1 exactly for pm.\n");
-  return 0;
+
+  epiagg::benchutil::ShapeCheck shape;
+  shape.check(worst_ratio_off <= kRatioBand,
+              "every getPair: worst |measured/analytic - 1| = %.3f <= %.2f",
+              worst_ratio_off, kRatioBand);
+  shape.check(seven_cycle.mean() <= kTargetRatio,
+              "rand after 7 cycles: sigma2_7/sigma2_0 = %.2e <= %.0e",
+              seven_cycle.mean(), kTargetRatio);
+  return shape.finish();
 }

@@ -5,9 +5,13 @@
 // factor E(2^-φ) computed from the MEASURED distribution.
 //
 // Each strategy is one SimulationBuilder chain with a PhiRecorder observer
-// counting participations on the run's actual exchanges.
+// counting participations on the run's actual exchanges. The shape checks at
+// the end of main() make a wrong table exit non-zero.
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/theory.hpp"
@@ -26,7 +30,11 @@ int main() {
   auto rng = std::make_shared<Rng>(0x0F1);
 
   std::printf("N = %u, %zu cycles of samples per strategy\n\n", n, cycles);
-  epiagg::benchutil::PerfTracker perf("table_phi_distributions");
+  struct Fit {
+    PairStrategy strategy;
+    double tv, factor_off;  ///< factor_off = |plug-in E(2^-φ) − analytic|
+  };
+  std::vector<Fit> fits;  // checked after the tables
 
   for (const PairStrategy strategy :
        {PairStrategy::kPerfectMatching, PairStrategy::kRandomEdge,
@@ -42,7 +50,6 @@ int main() {
             .entropy(rng)
             .build();
     sim.run_cycles(cycles);
-    perf.add_cycles(static_cast<double>(cycles));
     const PhiDistribution d = phi_recorder->distribution();
     const auto reference = reference_pmf(strategy, std::max<std::size_t>(d.pmf.size(), 12));
 
@@ -55,18 +62,29 @@ int main() {
       const double ref = j < reference.size() ? reference[j] : 0.0;
       std::printf("  %3zu  %-12.5f %-12.5f\n", j, emp, ref);
     }
-    std::printf("  total variation distance: %.5f\n",
-                total_variation(d.pmf, reference));
-    std::printf("  E(2^-φ) empirical: %.5f   analytic: %.5f\n\n",
-                convergence_factor(d),
-                theory::expected_two_pow_neg_phi(reference));
+    const double tv = total_variation(d.pmf, reference);
+    const double factor = convergence_factor(d);
+    const double analytic = theory::expected_two_pow_neg_phi(reference);
+    std::printf("  total variation distance: %.5f\n", tv);
+    std::printf("  E(2^-φ) empirical: %.5f   analytic: %.5f\n\n", factor, analytic);
+    fits.push_back({strategy, tv, std::abs(factor - analytic)});
   }
-
-  perf.finish();
 
   std::printf("theory anchors: 1/4 = 0.25, 1/e = %.5f, 1/(2*sqrt(e)) = %.5f\n",
               theory::rate_random_edge(), theory::rate_sequential());
   std::printf("expected shape: TV distance < 1e-2 for every strategy; the\n");
-  std::printf("plug-in factors reproduce the closed forms to 3+ decimals.\n");
-  return 0;
+  std::printf("plug-in factors lie within 0.002 of the closed forms.\n");
+
+  constexpr double kTvBand = 0.01;
+  constexpr double kFactorBand = 0.002;
+  epiagg::benchutil::ShapeCheck shape;
+  for (const Fit& fit : fits) {
+    const std::string name(to_string(fit.strategy));
+    shape.check(fit.tv < kTvBand, "getPair_%s: total variation %.5f < %.2f",
+                name.c_str(), fit.tv, kTvBand);
+    shape.check(fit.factor_off < kFactorBand,
+                "getPair_%s: |E(2^-φ) - analytic| = %.5f < %.3f", name.c_str(),
+                fit.factor_off, kFactorBand);
+  }
+  return shape.finish();
 }

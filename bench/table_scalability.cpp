@@ -10,11 +10,11 @@
 // N = 10^6: cycles to 99.9 % variance reduction (independent repetitions
 // fanned across cores by SweepRunner — byte-identical output for any
 // --threads), the per-node communication distribution (mean/max φ, via a
-// PhiRecorder observer), and the total message count per cycle. The row
-// timings land in BENCH_scalability.json so the simulator's own performance
-// trajectory is tracked run over run.
+// PhiRecorder observer), and the total message count per cycle. The shape
+// check at the end of main() makes a wrong cycle count exit non-zero.
 //
 // Flags: --threads N (0 = hardware_concurrency, the default).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -51,7 +51,9 @@ int main(int argc, char** argv) {
               "mean(phi)", "max(phi)", "msgs/cycle", "cycles/s");
 
   DataTable data({"n", "cycles_to_999", "phi_mean", "phi_max", "msgs_per_cycle"});
-  DataTable perf({"n", "cycles_per_sec", "wall_seconds", "threads", "runs"});
+  const std::size_t analytic_cycles =
+      theory::cycles_to_reduce(theory::rate_sequential(), 1e-3);
+  double worst_cycles_off = 0.0;
   for (const NodeId n : sizes) {
     // Convergence speed: cycles until variance fell 1000x (capped at 50),
     // independent repetitions fanned across the pool.
@@ -109,19 +111,25 @@ int main(int argc, char** argv) {
                 cycles_per_sec);
     data.add_row({static_cast<double>(n), cycles_needed.mean(), phi.mean,
                   static_cast<double>(phi.max), msgs_per_cycle});
-    perf.add_row({static_cast<double>(n), cycles_per_sec, wall,
-                  static_cast<double>(resolved), static_cast<double>(runs)});
+    worst_cycles_off = std::max(
+        worst_cycles_off,
+        std::abs(cycles_needed.mean() - static_cast<double>(analytic_cycles)));
   }
   export_table(data, "table_scalability");
-  export_bench_json(perf, "BENCH_scalability");
 
   std::printf("\nanalytic anchor: ceil(ln 1000 / ln(2*sqrt(e))) = %zu cycles\n",
-              theory::cycles_to_reduce(theory::rate_sequential(), 1e-3));
+              analytic_cycles);
   std::printf("expected shape: the cycle count and the phi columns are FLAT\n");
   std::printf("in N (no per-node penalty, no performance peaks — max phi only\n");
   std::printf("creeps logarithmically as the Poisson tail gets sampled more\n");
   std::printf("often), while total traffic per cycle grows exactly linearly;\n");
   std::printf("wall time per cycle grows linearly in N (cycles/s falls ~10x\n");
   std::printf("per decade) since one cycle is N exchanges.\n");
-  return 0;
+
+  constexpr double kCyclesBand = 0.5;
+  epiagg::benchutil::ShapeCheck shape;
+  shape.check(worst_cycles_off <= kCyclesBand,
+              "every N: worst |cycles to 99.9%% - %zu| = %.1f <= %.1f",
+              analytic_cycles, worst_cycles_off, kCyclesBand);
+  return shape.finish();
 }

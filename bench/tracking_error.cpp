@@ -20,38 +20,34 @@
 // |network estimate − exact aggregate| over the final third of the run —
 // next to the usual cycles/sec throughput column.
 //
-// Every run writes BENCH_tracking.json: one row per
-// (n, engine, aggregator, staleness). scripts/bench_diff.py matches rows
-// by that composite key, gates cycles_per_sec at the usual 25%, and
-// reports — without hard-failing — when a tracking error widens against
-// the committed baseline (accuracy is seed-pinned, so any widening is a
-// real semantic change, but it is a correctness signal, not a perf gate).
+// The shape checks at the end of main() make a wrong frontier exit non-zero.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/data_export.hpp"
 #include "sim/simulation.hpp"
 
 namespace {
 
 using namespace epiagg;
 
-// Stable aggregator-discipline codes for the JSON rows.
-constexpr double kStaticRow = 0.0;
-constexpr double kRestartRow = 1.0;
-constexpr double kWindowedRow = 2.0;
-constexpr double kDecayingRow = 3.0;
+constexpr double kDriftRate = 0.01;  // per cycle
 
-const char* discipline_name(double code) {
+// The disciplines, numbered as above; they also index the error table.
+enum Discipline { kStaticRow, kRestartRow, kWindowedRow, kDecayingRow };
+
+const char* discipline_name(Discipline code) {
   if (code == kStaticRow) return "static";
   if (code == kRestartRow) return "restart";
   if (code == kWindowedRow) return "windowed";
   return "decaying";
 }
 
-Simulation build_sim(double discipline, EngineKind engine, NodeId n,
+Simulation build_sim(Discipline discipline, EngineKind engine, NodeId n,
                      std::size_t staleness, std::uint64_t seed,
                      std::shared_ptr<TrackingErrorObserver> tracking) {
   SimulationBuilder builder;
@@ -59,7 +55,7 @@ Simulation build_sim(double discipline, EngineKind engine, NodeId n,
       .engine(engine)
       .workload(WorkloadSpec::time_varying(WorkloadDynamics::kDrift,
                                            ValueDistribution::kUniform,
-                                           /*rate=*/0.01, /*period=*/0.0,
+                                           kDriftRate, /*period=*/0.0,
                                            /*jitter=*/0.002))
       .observe(std::move(tracking))
       .seed(seed);
@@ -112,14 +108,12 @@ int main(int argc, char** argv) {
   std::printf("%-7s %-9s %-10s %-14s %-12s\n", "engine", "discip.",
               "staleness", "track-error", "cycles/s");
 
-  DataTable perf({"n", "engine", "aggregator", "staleness", "cycles",
-                  "wall_seconds", "cycles_per_sec", "tracking_error",
-                  "quick"});
-  const double quick = epiagg::benchutil::quick_mode() ? 1.0 : 0.0;
-
+  double error[2][2][4];  // [engine][staleness][discipline], in loop order
   for (const EngineKind engine : {EngineKind::kCycle, EngineKind::kEvent}) {
-    for (const std::size_t staleness : staleness_grid) {
-      for (const double discipline :
+    const int e = engine == EngineKind::kCycle ? 0 : 1;
+    for (std::size_t s = 0; s < staleness_grid.size(); ++s) {
+      const std::size_t staleness = staleness_grid[s];
+      for (const Discipline discipline :
            {kStaticRow, kRestartRow, kWindowedRow, kDecayingRow}) {
         auto tracking = std::make_shared<TrackingErrorObserver>();
         Simulation sim = build_sim(discipline, engine, n, staleness,
@@ -132,24 +126,56 @@ int main(int argc, char** argv) {
         }
         const double wall = timer.seconds();
         const double cps = wall > 0.0 ? static_cast<double>(cycles) / wall : 0.0;
-        const double error = steady_state_error(*tracking, cycles);
+        error[e][s][discipline] = steady_state_error(*tracking, cycles);
         std::printf("%-7s %-9s %-10zu %-14.6f %-12.2f\n",
                     to_string(engine).data(), discipline_name(discipline),
-                    staleness, error, cps);
-        perf.add_row({static_cast<double>(n),
-                      engine == EngineKind::kEvent ? 1.0 : 0.0,
-                      discipline, static_cast<double>(staleness),
-                      static_cast<double>(cycles), wall, cps, error, quick});
+                    staleness, error[e][s][discipline], cps);
       }
     }
   }
-  export_bench_json(perf, "BENCH_tracking");
 
   std::printf("\nthe static row diverges (~rate x cycles of accumulated\n");
   std::printf("drift); restart and windowed are bounded by their staleness\n");
   std::printf("budget (~staleness/2 x rate) and decaying by its analytic\n");
   std::printf("lag (rate x (1-beta)/beta) — on both execution models.\n");
-  std::printf("bench_diff.py tracks the error columns against\n");
-  std::printf("bench/baselines/BENCH_tracking.json.\n");
-  return 0;
+
+  constexpr double kDecayBand = 0.05;
+  constexpr double kStaticFactor = 2.0;
+  constexpr double kEngineBand = 0.002;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double windowed_over_restart = -kInf, static_over_bounded = kInf, engines_apart = 0.0;
+  epiagg::benchutil::ShapeCheck shape;
+  for (std::size_t s = 0; s < staleness_grid.size(); ++s) {
+    const double beta = 2.0 / static_cast<double>(staleness_grid[s]);
+    const double lag = kDriftRate * (1.0 - beta) / beta;
+    double decay_off = 0.0;
+    for (const auto& engine : error) {
+      const double* row = engine[s];
+      decay_off = std::max(decay_off, std::abs(row[kDecayingRow] / lag - 1.0));
+      windowed_over_restart =
+          std::max(windowed_over_restart, row[kWindowedRow] - row[kRestartRow]);
+      const double bounded =
+          std::max({row[kRestartRow], row[kWindowedRow], row[kDecayingRow]});
+      static_over_bounded = std::min(static_over_bounded, row[kStaticRow] / bounded);
+    }
+    for (std::size_t d = 0; d < 4; ++d)
+      engines_apart =
+          std::max(engines_apart, std::abs(error[0][s][d] - error[1][s][d]));
+    shape.check(decay_off <= kDecayBand,
+                "decaying, staleness %zu: worst |error / %.4f - 1| over both "
+                "engines = %.1f%% <= %.0f%%",
+                staleness_grid[s], lag, decay_off * 100.0, kDecayBand * 100.0);
+  }
+  shape.check(windowed_over_restart <= 0.0,
+              "windowed - restart error, largest over engines and staleness: "
+              "%+.6f <= 0",
+              windowed_over_restart);
+  shape.check(static_over_bounded >= kStaticFactor,
+              "static / worst bounded error, smallest over engines and staleness: "
+              "%.2f >= %.1f",
+              static_over_bounded, kStaticFactor);
+  shape.check(engines_apart <= kEngineBand,
+              "|cycle - event| error, largest over every row: %.6f <= %.3f",
+              engines_apart, kEngineBand);
+  return shape.finish();
 }

@@ -22,6 +22,7 @@
 //   $ EPIAGG_QUICK=1 ./monitoring_service   # CI smoke scale
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 
 #include "sim/simulation.hpp"
@@ -51,7 +52,9 @@ InstanceError steady_state_error(const epiagg::TrackingErrorObserver& tracking,
 int main() {
   using namespace epiagg;
 
-  const bool quick = std::getenv("EPIAGG_QUICK") != nullptr;
+  // Same switch as the benches: only EPIAGG_QUICK=1 selects the quick scale.
+  const char* quick_flag = std::getenv("EPIAGG_QUICK");
+  const bool quick = quick_flag != nullptr && std::strcmp(quick_flag, "1") == 0;
   const NodeId n = quick ? 400 : 2000;
   const std::size_t cycles = quick ? 45 : 120;
   const double drift_rate = 0.01;  // mean load climbs this much per cycle

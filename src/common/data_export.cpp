@@ -41,26 +41,6 @@ std::string DataTable::to_string() const {
   return out;
 }
 
-std::string DataTable::to_json() const {
-  std::string out = "[";
-  char buffer[64];
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    out += r == 0 ? "\n" : ",\n";
-    out += "  {";
-    for (std::size_t c = 0; c < columns_.size(); ++c) {
-      if (c > 0) out += ", ";
-      out += '"';
-      out += columns_[c];
-      out += "\": ";
-      std::snprintf(buffer, sizeof(buffer), "%.10g", rows_[r][c]);
-      out += buffer;
-    }
-    out += '}';
-  }
-  out += "\n]\n";
-  return out;
-}
-
 bool DataTable::write_file(const std::string& path) const {
   std::ofstream file(path);
   if (!file) return false;
@@ -84,21 +64,6 @@ bool export_table(const DataTable& table, const std::string& name) {
   } else {
     std::fprintf(stderr, "[data] FAILED to write %s/%s.dat\n", dir->c_str(),
                  name.c_str());
-  }
-  return ok;
-}
-
-bool export_bench_json(const DataTable& table, const std::string& name) {
-  const std::string path =
-      data_export_dir().value_or(".") + "/" + name + ".json";
-  std::ofstream file(path);
-  if (file) file << table.to_json();
-  const bool ok = static_cast<bool>(file);
-  if (ok) {
-    std::printf("[data] wrote %s (%zu rows)\n", path.c_str(),
-                table.row_count());
-  } else {
-    std::fprintf(stderr, "[data] FAILED to write %s\n", path.c_str());
   }
   return ok;
 }

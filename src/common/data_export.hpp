@@ -37,10 +37,6 @@ public:
   /// Serializes the table ("# col1 col2\n1.0 2.0\n..."). Fixed %.10g format.
   [[nodiscard]] std::string to_string() const;
 
-  /// Serializes the table as a JSON array of row objects keyed by column
-  /// name ('[{"col1": 1, "col2": 2}, ...]'). Fixed %.10g format.
-  [[nodiscard]] std::string to_json() const;
-
   /// Writes to `path`; returns false (without throwing) on I/O failure so a
   /// read-only data dir never kills a bench run.
   bool write_file(const std::string& path) const;
@@ -56,12 +52,5 @@ private:
 /// Writes `table` as <EPIAGG_DATA_DIR>/<name>.dat when exporting is enabled;
 /// no-op otherwise. Returns true if a file was written.
 bool export_table(const DataTable& table, const std::string& name);
-
-/// Machine-readable perf tracking: writes `table` as <name>.json into
-/// EPIAGG_DATA_DIR when set, the current directory otherwise. Unlike
-/// export_table this is never inert — perf trajectories (BENCH_*.json)
-/// should exist for every run so regressions are diffable. Returns true if
-/// the file was written.
-bool export_bench_json(const DataTable& table, const std::string& name);
 
 }  // namespace epiagg
