@@ -8,10 +8,9 @@
 // directly comparable: the event engine pays for real message passing
 // (send/reply events, latency-capable scheduling, per-message loss draws)
 // and the ratio column tracks how close it gets to the cycle engine's
-// batched sweeps. The calendar-queue scheduler and typed pooled event
-// records (docs/api.md "Event-engine internals") are what keep that ratio
-// flat in N instead of degrading with the priority-queue's log of the
-// pending-event count.
+// batched sweeps. The run-plus-heap scheduler — in-order wake-ups append
+// to a FIFO run, only in-flight messages pay heap costs — and typed pooled
+// event records (docs/api.md "Event-engine internals") set that ratio.
 //
 // The table is printed, not checked: wall-clock throughput measures the host
 // as much as the code, and bench/e2e is where speed is measured.

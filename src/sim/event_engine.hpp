@@ -5,17 +5,19 @@
 // typed records from the CalendarQueue below. Determinism: events at equal
 // timestamps pop in scheduling order.
 //
-// The pending set lives in a CALENDAR QUEUE (time-bucketed FIFO lanes with
-// an overflow tier) instead of a binary heap: schedule and pop are O(1)
-// amortized at the 10^5–10^7 pending-event scales the benches hit, where a
-// std::priority_queue pays log(n) compares — and heap-moves its payload —
-// on every operation. Pop order is EXACTLY ascending (time, sequence), bit-
-// identical to the old heap comparator; docs/api.md "Event-engine
-// internals" carries the design note and the monotonicity argument.
+// The pending set lives in two exact structures: a FIFO RUN that takes every
+// push at or after its last entry, and a binary min-heap of (time, sequence,
+// slot) keys over a free-listed payload pool that takes the rest. Under
+// constant GETWAITINGTIME every wake-up is scheduled at now + 1 while pops
+// come in time order, so all N wakes per Δt append to the run and only the
+// in-flight messages pay heap costs. Pop order is EXACTLY ascending (time,
+// sequence); docs/api.md "Event-engine internals" carries the design note.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -25,23 +27,16 @@
 
 namespace epiagg {
 
-/// A calendar queue over `(time, sequence, payload)` entries, popped in
-/// ascending `(time, sequence)` order.
+/// The pending-event queue: `(time, sequence, payload)` entries popped in
+/// ascending `(time, sequence)` order. (The name is kept for its callers.)
 ///
-/// Geometry: `buckets_.size()` lanes of `width_` simulated seconds starting
-/// at `year_start_`; an entry maps to lane `floor((t - year_start_) /
-/// width_)` (clamped at 0), or to the unsorted overflow tier when that
-/// index falls past the last lane. The mapping is a clamped floor of a
-/// monotone affine function, so `t1 <= t2` implies `lane(t1) <= lane(t2)`
-/// REGARDLESS of floating-point rounding — draining lanes left to right
-/// (each lane kept sorted) is therefore a correct total order, and every
-/// overflow entry is strictly later than every bucketed one. When the lanes
-/// drain the calendar rotates: a new year is anchored at the overflow
-/// minimum and the tier is re-bucketed. The lane count tracks the pending
-/// count (power-of-two resize, O(n) rebuild amortized over the >= n
-/// operations that changed the size), keeping ~1 entry per lane so the
-/// sorted insert is O(1) in the common case — and an exact FIFO append for
-/// equal-timestamp bursts.
+/// A push that is not below the run's last entry appends to the run, which
+/// therefore ascends by construction. Any other push parks its payload in a
+/// pool slot (recycled through a free list) and its `(time, sequence,
+/// slot)` key in a min-heap. The earliest entry is the smaller of the run's
+/// front and the heap's top, so one total order holds whichever structure
+/// an entry took. Memory is O(peak pending): the run frees its blocks as it
+/// drains and the pool never outgrows the heap's high-water mark.
 template <typename P>
 class CalendarQueue {
 public:
@@ -51,198 +46,95 @@ public:
     P payload;
   };
 
-  CalendarQueue() : buckets_(kMinBuckets) {}
-
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
-  /// Lanes currently allocated (resize/rotation observability for tests).
-  [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return buckets_.size();
+  [[nodiscard]] bool empty() const noexcept {
+    return run_.empty() && heap_.empty();
   }
-  /// Entries currently parked in the overflow tier.
-  [[nodiscard]] std::size_t overflow_count() const noexcept {
-    return overflow_.size();
+  [[nodiscard]] std::size_t size() const noexcept {
+    return run_.size() + heap_.size();
   }
 
   void push(SimTime time, std::uint64_t sequence, P payload) {
-    insert_entry(Entry{time, sequence, std::move(payload)});
-    if (size_ > buckets_.size() * kGrowOccupancy &&
-        buckets_.size() < kMaxBuckets) {
-      rebuild();
+    if (run_.empty() ||
+        !before(time, sequence, run_.back().time, run_.back().sequence)) {
+      run_.push_back(Entry{time, sequence, std::move(payload)});
+      return;
     }
+    std::size_t slot = pool_.size();
+    if (free_.empty()) {
+      pool_.push_back(std::move(payload));
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      pool_[slot] = std::move(payload);
+    }
+    heap_.push(Key{time, sequence, slot});
   }
 
-  /// Timestamp of the earliest entry. Requires !empty(); may advance the
-  /// lane cursor or rotate the year (amortized O(1)).
-  [[nodiscard]] SimTime min_time() { return front_entry().time; }
+  /// Timestamp of the earliest entry. Requires !empty().
+  [[nodiscard]] SimTime min_time() const {
+    return run_first() ? run_.front().time : heap_.top().time;
+  }
 
   /// Removes and returns the earliest entry. Requires !empty().
-  Entry pop_min() {
-    Entry out = std::move(front_entry());
-    advance_past_front();
-    return out;
-  }
+  Entry pop_min() { return take_front(run_first()); }
 
-  /// Peek-and-pop in ONE cursor scan: moves the earliest entry into `out`
-  /// and returns true iff its time is <= `t_end`. The drain loop's
-  /// `min_time() <= t_end` guard plus `pop_min()` costs two front scans per
-  /// event; this is the fused form.
+  /// Moves the earliest entry into `out` and returns true iff its time is
+  /// <= `t_end` (the run loop's peek-and-pop).
   bool pop_min_if(SimTime t_end, Entry& out) {
-    if (size_ == 0) return false;
-    Entry& front = front_entry();
-    if (front.time > t_end) return false;
-    out = std::move(front);
-    advance_past_front();
+    if (empty()) return false;
+    const bool from_run = run_first();
+    if ((from_run ? run_.front().time : heap_.top().time) > t_end)
+      return false;
+    out = take_front(from_run);
     return true;
   }
 
 private:
-  struct Lane {
-    std::vector<Entry> items;  // ascending (time, sequence) from `head`
-    std::size_t head = 0;      // popped entries linger as moved-out husks
-    [[nodiscard]] bool drained() const noexcept {
-      return head >= items.size();
+  struct Key {
+    SimTime time;
+    std::uint64_t sequence;
+    std::size_t slot;  // the payload's index in pool_
+  };
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const noexcept {
+      return before(b.time, b.sequence, a.time, a.sequence);
     }
   };
 
-  static constexpr std::size_t kMinBuckets = 16;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 21;
-  static constexpr std::size_t kGrowOccupancy = 4;   // entries per lane
-  static constexpr std::size_t kShrinkOccupancy = 8;  // lanes per entry
-  static constexpr std::size_t kYearSlack = 4;  // year length / pending span
-
-  static bool entry_less(const Entry& a, const Entry& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.sequence < b.sequence;
+  static bool before(SimTime ta, std::uint64_t sa, SimTime tb,
+                     std::uint64_t sb) noexcept {
+    return ta < tb || (ta == tb && sa < sb);
   }
 
-  /// Maps `t` to its lane, or returns false for the overflow tier. Clamped
-  /// floor of a monotone function: never decreasing in `t`.
-  bool lane_index(SimTime t, std::size_t& idx) const {
-    const double offset = (t - year_start_) / width_;
-    if (offset >= static_cast<double>(buckets_.size())) return false;
-    idx = offset <= 0.0 ? 0 : static_cast<std::size_t>(offset);
-    return idx < buckets_.size();
+  /// True when the earliest entry is the run's front. Throws
+  /// InvariantViolation on an empty queue.
+  bool run_first() const {
+    EPIAGG_ASSERT(!empty(), "event queue read on an empty queue");
+    if (heap_.empty()) return true;
+    if (run_.empty()) return false;
+    const Entry& front = run_.front();
+    const Key& top = heap_.top();
+    return before(front.time, front.sequence, top.time, top.sequence);
   }
 
-  void insert_entry(Entry entry) {
-    std::size_t idx = 0;
-    if (!lane_index(entry.time, idx)) {
-      overflow_.push_back(std::move(entry));
-      ++size_;
-      return;
+  /// Removes the earliest entry: the run's front when `from_run`, else the
+  /// heap's top.
+  Entry take_front(bool from_run) {
+    if (from_run) {
+      Entry out = std::move(run_.front());
+      run_.pop_front();
+      return out;
     }
-    Lane& lane = buckets_[idx];
-    if (lane.drained()) {
-      lane.items.clear();
-      lane.head = 0;
-    }
-    if (lane.items.empty() || entry_less(lane.items.back(), entry)) {
-      lane.items.push_back(std::move(entry));  // FIFO fast path
-    } else {
-      const auto pos =
-          std::upper_bound(lane.items.begin() + lane.head, lane.items.end(),
-                           entry, entry_less);
-      lane.items.insert(pos, std::move(entry));
-    }
-    // A lane the cursor already passed can receive entries again (anything
-    // scheduled at the current time after its lane drained); pull the
-    // cursor back so the scan never strands them.
-    if (idx < cursor_) cursor_ = idx;
-    ++size_;
+    const Key key = heap_.top();
+    heap_.pop();
+    free_.push_back(key.slot);
+    return Entry{key.time, key.sequence, std::move(pool_[key.slot])};
   }
 
-  /// Consumes the entry front_entry() just returned (its lane is at
-  /// cursor_). Shared tail of pop_min / pop_min_if.
-  void advance_past_front() {
-    Lane& lane = buckets_[cursor_];
-    ++lane.head;
-    if (lane.head >= lane.items.size()) {
-      lane.items.clear();
-      lane.head = 0;
-    }
-    --size_;
-    if (size_ * kShrinkOccupancy < buckets_.size() &&
-        buckets_.size() > kMinBuckets) {
-      rebuild();
-    }
-  }
-
-  /// The earliest entry: first item of the first non-drained lane, rotating
-  /// the year when only the overflow tier remains. Requires !empty().
-  Entry& front_entry() {
-    for (;;) {
-      while (cursor_ < buckets_.size() && buckets_[cursor_].drained())
-        ++cursor_;
-      if (cursor_ < buckets_.size()) {
-        Lane& lane = buckets_[cursor_];
-        return lane.items[lane.head];
-      }
-      EPIAGG_ASSERT(!overflow_.empty(),
-                    "calendar queue scan on an empty queue");
-      rebuild();  // new year anchored at the overflow minimum
-    }
-  }
-
-  /// Re-buckets every pending entry with fresh geometry: lane count ~ the
-  /// pending count, year anchored at the earliest pending time, width
-  /// spreading the pending span at ~1 entry per lane. The earliest entry
-  /// always lands in lane 0, so rotation makes progress unconditionally.
-  /// Lane vectors are recycled whenever the lane count is unchanged (the
-  /// common year-rotation case): clear() keeps their capacity, so a steady-
-  /// state rotation performs ZERO allocations past the first year.
-  void rebuild() {
-    scratch_.clear();
-    scratch_.reserve(size_);
-    for (Lane& lane : buckets_)
-      for (std::size_t i = lane.head; i < lane.items.size(); ++i)
-        scratch_.push_back(std::move(lane.items[i]));
-    for (Entry& entry : overflow_) scratch_.push_back(std::move(entry));
-    overflow_.clear();
-
-    std::size_t lanes = kMinBuckets;
-    while (lanes < scratch_.size() && lanes < kMaxBuckets) lanes <<= 1;
-    if (lanes == buckets_.size()) {
-      for (Lane& lane : buckets_) {
-        lane.items.clear();
-        lane.head = 0;
-      }
-    } else {
-      buckets_.assign(lanes, Lane{});
-    }
-    cursor_ = 0;
-    size_ = 0;
-    if (scratch_.empty()) return;
-
-    SimTime lo = scratch_.front().time;
-    SimTime hi = scratch_.front().time;
-    for (const Entry& entry : scratch_) {
-      lo = std::min(lo, entry.time);
-      hi = std::max(hi, entry.time);
-    }
-    year_start_ = lo;
-    const double span = hi - lo;
-    // The year covers kYearSlack × the pending span: future schedules keep
-    // landing in lanes (instead of the overflow tier) for several horizons,
-    // so an entry is re-bucketed by at most ~1/kYearSlack of rotations —
-    // at the price of ~kYearSlack entries per occupied lane.
-    width_ = span > 0.0
-                 ? span * static_cast<double>(kYearSlack) /
-                       static_cast<double>(lanes)
-                 : 1.0;
-    for (Entry& entry : scratch_) insert_entry(std::move(entry));
-    scratch_.clear();
-  }
-
-  std::vector<Lane> buckets_;
-  std::vector<Entry> overflow_;  // unsorted; strictly later than any lane
-  std::vector<Entry> scratch_;   // rebuild staging, recycled across years
-  std::size_t cursor_ = 0;       // lanes below are drained (or refilled
-                                 // with a cursor pull-back on insert)
-  SimTime year_start_ = 0.0;
-  double width_ = 1.0;
-  std::size_t size_ = 0;
+  std::deque<Entry> run_;  // ascending (time, sequence)
+  std::priority_queue<Key, std::vector<Key>, Later> heap_;
+  std::vector<P> pool_;            // payloads of the heap's keys
+  std::vector<std::size_t> free_;  // pool_ slots no key refers to
 };
 
 /// Message latency models for the asynchronous protocol mode.

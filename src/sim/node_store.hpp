@@ -136,14 +136,14 @@ public:
   void apply_exchanges(std::span<const Combiner> combiners,
                        std::span<const ExchangePair> pairs);
 
-  /// Applies one timestamp's worth of ONE-SIDED message merges, plane by
-  /// plane: for each slot s, walk the deliveries in order folding
-  /// values[d * stride + s] into x[targets[d]] with combiners[s] (`values`
-  /// is delivery-major, stride = combiners.size()). Bit-identical to the
-  /// per-delivery combine() loop — per-(plane, node) operation order is
-  /// preserved and planes are independent — but cache-linear with the
-  /// combiner dispatched once per plane (the event-engine analogue of
-  /// apply_exchanges).
+  /// Applies a list of ONE-SIDED message merges, plane by plane: for each
+  /// slot s, walk the deliveries in order folding values[d * stride + s]
+  /// into x[targets[d]] with combiners[s] (`values` is delivery-major,
+  /// stride = combiners.size()). Bit-identical to the per-delivery
+  /// combine() loop — per-(plane, node) operation order is preserved and
+  /// planes are independent. Its only caller is the `sim.store.delivery`
+  /// probe of bench/e2e, which times the delivery merge on its own; the
+  /// event engine merges each delivery as it pops.
   void apply_deliveries(std::span<const Combiner> combiners,
                         std::span<const NodeId> targets,
                         std::span<const double> values);

@@ -1,8 +1,9 @@
 // Typed POD event records and the scheduler that runs them.
 //
 // Every message-based simulation impl schedules fixed-size
-// `SimEventRecord`s on a `SimEventEngine` — a calendar queue of plain
-// structs — and dispatches them through one switch (simulation_event.cpp).
+// `SimEventRecord`s on a `SimEventEngine` — a FIFO run plus a key heap of
+// plain structs (event_engine.hpp) — and dispatches them through one switch
+// (simulation_event.cpp).
 // There is no type erasure and no per-event heap allocation: payloads ride
 // inline in the record when they fit (one double plane, push-sum mass
 // halves) or in a recycled arena slot (payload_arena.hpp) when they don't.
@@ -48,11 +49,12 @@ enum class EvKind : std::uint8_t {
   kPushSumDeliver,
 };
 
-/// Field order packs the record into 48 bytes, so a queue Entry — `(time,
-/// sequence, record)` — is exactly one 64-byte cache line. The generation
-/// guards are 32-bit on the wire: they only ever compare for EQUALITY
-/// against a counter bumped once per crash of one slot, so wrap-around
-/// would need 2^32 crashes of a single node within one message's flight.
+/// Field order packs the record into 48 bytes, so a run Entry — `(time,
+/// sequence, record)` — is exactly one 64-byte cache line, and a heap-held
+/// event is a 24-byte key plus one 48-byte pool slot. The generation guards
+/// are 32-bit on the wire: they only ever compare for EQUALITY against a
+/// counter bumped once per crash of one slot, so wrap-around would need
+/// 2^32 crashes of a single node within one message's flight.
 struct SimEventRecord {
   double v0 = 0.0;
   double v1 = 0.0;

@@ -1,6 +1,6 @@
 // CalendarQueue invariants: exact (time, sequence) pop order (the event
-// engine's determinism contract), FIFO within equal timestamps, overflow-
-// tier promotion on year rotation, lane resize, and empty-drain reuse.
+// engine's determinism contract), FIFO within equal timestamps, ties across
+// the run and the heap, empty-queue contracts, and empty-drain reuse.
 #include "sim/event_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/contract.hpp"
 #include "common/rng.hpp"
 
 namespace epiagg {
@@ -56,82 +57,79 @@ TEST(CalendarQueue, EqualTimestampsAreFifo) {
 TEST(CalendarQueue, MatchesReferenceOrderUnderRandomWorkload) {
   // Differential test against a sort-based reference: interleaved pushes
   // and pops with clustered, duplicated and far-future times — the mix the
-  // simulation actually generates (wake-ups ~1 Δt out, deliveries at small
-  // latencies, the integer tick, far-future adaptive activations).
-  Rng rng(2004);
-  Queue queue;
-  std::set<std::pair<double, std::uint64_t>> reference;
-  std::uint64_t sequence = 0;
-  double now = 0.0;
+  // simulation actually generates. The engine's monotone now + 1 wake-ups
+  // append to the run; deliveries at small latencies, wider windows and
+  // far-future adaptive activations land in the heap (or, when they top
+  // the run, block it until they pop), so pops interleave both structures.
+  for (const std::uint64_t seed : {2004u, 7u, 31337u, 424242u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Queue queue;
+    std::set<std::pair<double, std::uint64_t>> reference;
+    std::uint64_t sequence = 0;
+    double now = 0.0;
 
-  for (int step = 0; step < 20000; ++step) {
-    const bool push = queue.empty() || rng.uniform() < 0.55;
-    if (push) {
-      double delay = 0.0;
-      const double kind = rng.uniform();
-      if (kind < 0.2) {
-        delay = 0.0;  // same-timestamp burst
-      } else if (kind < 0.9) {
-        delay = rng.uniform() * 2.0;  // the typical wake/delivery window
+    for (int step = 0; step < 20000; ++step) {
+      const bool push = queue.empty() || rng.uniform() < 0.5;
+      if (push) {
+        double delay = 0.0;
+        const double kind = rng.uniform();
+        if (kind < 0.1) {
+          delay = 0.0;  // same-timestamp burst
+        } else if (kind < 0.55) {
+          delay = 1.0;  // the constant-wait wake-up: now + 1
+        } else if (kind < 0.93) {
+          delay = rng.uniform() * 0.2;  // a message latency
+        } else if (kind < 0.99) {
+          delay = rng.uniform() * 2.0;  // a wider wake/delivery window
+        } else {
+          delay = 50.0 + rng.uniform() * 1000.0;  // far future
+        }
+        queue.push(now + delay, sequence, static_cast<int>(sequence));
+        reference.emplace(now + delay, sequence);
+        ++sequence;
       } else {
-        delay = 50.0 + rng.uniform() * 1000.0;  // far future: overflow tier
+        const auto entry = queue.pop_min();
+        ASSERT_EQ(entry.time, reference.begin()->first);
+        ASSERT_EQ(entry.sequence, reference.begin()->second);
+        now = entry.time;
+        reference.erase(reference.begin());
       }
-      queue.push(now + delay, sequence, static_cast<int>(sequence));
-      reference.emplace(now + delay, sequence);
-      ++sequence;
-    } else {
+    }
+    while (!queue.empty()) {
       const auto entry = queue.pop_min();
       ASSERT_EQ(entry.time, reference.begin()->first);
       ASSERT_EQ(entry.sequence, reference.begin()->second);
-      now = entry.time;
       reference.erase(reference.begin());
     }
+    EXPECT_TRUE(reference.empty());
   }
-  while (!queue.empty()) {
-    const auto entry = queue.pop_min();
-    ASSERT_EQ(entry.time, reference.begin()->first);
-    ASSERT_EQ(entry.sequence, reference.begin()->second);
-    reference.erase(reference.begin());
-  }
-  EXPECT_TRUE(reference.empty());
 }
 
-TEST(CalendarQueue, OverflowTierPromotesOnRotation) {
+TEST(CalendarQueue, TiesAcrossRunAndHeapPopInSequenceOrder) {
   Queue queue;
-  // Near events first: the growth rebuild they trigger anchors a short year
-  // around their span. Far events pushed afterwards fall past its end (even
-  // with the year-slack factor) and must park in the overflow tier.
-  for (int i = 0; i < 100; ++i)
-    queue.push(0.01 * i, static_cast<std::uint64_t>(i), i);
-  const std::uint64_t far_base = 100;
-  for (int i = 0; i < 8; ++i)
-    queue.push(1e6 + i, far_base + static_cast<std::uint64_t>(i), 1000 + i);
-  EXPECT_GT(queue.overflow_count(), 0u);
-
-  // Drain the near year; the rotation must promote the far tier and keep
-  // exact order.
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(queue.pop_min().payload, i);
-  for (int i = 0; i < 8; ++i) {
-    const auto entry = queue.pop_min();
-    EXPECT_EQ(entry.payload, 1000 + i);
-    EXPECT_EQ(entry.time, 1e6 + i);
-  }
+  queue.push(2.0, 0, 0);  // the run
+  queue.push(3.0, 1, 1);  // appends to the run
+  queue.push(2.0, 2, 2);  // below the run's last entry: the heap
+  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_EQ(queue.pop_min().sequence, 0u);
+  EXPECT_EQ(queue.min_time(), 2.0);
+  EXPECT_EQ(queue.pop_min().sequence, 2u);
+  EXPECT_EQ(queue.pop_min().sequence, 1u);
   EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.overflow_count(), 0u);
 }
 
-TEST(CalendarQueue, LaneCountTracksPendingCount) {
+TEST(CalendarQueue, EmptyPopAndPeekThrow) {
   Queue queue;
-  const std::size_t initial_lanes = queue.bucket_count();
-  for (int i = 0; i < 4096; ++i)
-    queue.push(0.001 * i, static_cast<std::uint64_t>(i), i);
-  EXPECT_GT(queue.bucket_count(), initial_lanes);
+  EXPECT_THROW((void)queue.pop_min(), InvariantViolation);
+  EXPECT_THROW((void)queue.min_time(), InvariantViolation);
+  Queue::Entry entry{};
+  EXPECT_FALSE(queue.pop_min_if(1e9, entry));
 
-  // Draining far below the lane count must shrink the calendar back.
-  for (int i = 0; i < 4090; ++i) (void)queue.pop_min();
-  EXPECT_LT(queue.bucket_count(), 4096u);
-  while (!queue.empty()) (void)queue.pop_min();
-  EXPECT_EQ(queue.size(), 0u);
+  queue.push(1.0, 0, 7);
+  EXPECT_EQ(queue.pop_min().payload, 7);
+  EXPECT_THROW((void)queue.pop_min(), InvariantViolation);
+  EXPECT_THROW((void)queue.min_time(), InvariantViolation);
 }
 
 TEST(CalendarQueue, EmptyDrainAndReuse) {

@@ -1,4 +1,4 @@
-// The event-engine scheduler (SimEventEngine over the calendar queue) and
+// The event-engine scheduler (SimEventEngine over its pending-event queue) and
 // the message latency models.
 #include "sim/sim_events.hpp"
 
